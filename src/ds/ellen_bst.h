@@ -183,18 +183,22 @@ class ellen_bst {
     ///
     /// Shape: in-order DFS over the leaf-oriented tree, pruned to the
     /// query interval by the internal routing keys. For per-access schemes
-    /// (HP/HE/IBR) one guard_span keeps every admitted node -- the DFS
-    /// frontier plus everything already expanded -- protected until the
-    /// scan attempt ends, so the protection window grows with the scanned
-    /// subtree: exactly the operation that separates per-access
-    /// protection-window cost from the epoch schemes, whose span is an
-    /// empty token (HP grows its hazard-slot chain on demand; HE aliases
-    /// eras; IBR's interval already covers the span).
+    /// (HP/HE/IBR) one guard_span holds the protection window, and the scan
+    /// releases each node as soon as the DFS is done with it: an internal
+    /// node once both children it descends into are admitted, a leaf once
+    /// it is visited. The live set is the DFS frontier -- at most the tree
+    /// height plus two nodes -- not the scanned subtree. Epoch schemes'
+    /// span is an empty token (HE aliases eras; IBR's interval already
+    /// covers the span, and its release is free).
     ///
     /// Consistency: each visited key was a member at some instant during
     /// the scan; keys are strictly ascending (leaf intervals are fixed by
     /// the routing keys, which never change), hence duplicate-free, even
     /// across restarts -- a restarted DFS prunes at the resume frontier.
+    /// Membership comes from each child's admission: it is validated
+    /// against its parent (parent unmarked and still linking the child)
+    /// while the parent is protected. Nothing reads the parent after that,
+    /// so holding ancestors longer would add nothing to the argument.
     ///
     /// Like every BST operation the non-quiescent traversal runs under
     /// run_guarded, so DEBRA+ neutralization is supported: scan-frontier
@@ -825,13 +829,13 @@ class ellen_bst {
                       "neutralization recovery requires lock-free scan state");
     };
 
-    /// One in-order DFS attempt (runs under run_guarded). The guard_span
-    /// keeps every admitted node -- the whole DFS frontier and everything
-    /// already expanded -- protected until the attempt ends, so per-access
-    /// schemes pay one live protection per scanned node: the protection-
-    /// window cost the range_scan_mix scenario measures. Always returns
-    /// true; the outcome is in ctx.state (the outer loop handles restarts
-    /// so stack growth can happen quiescently).
+    /// One in-order DFS attempt (runs under run_guarded). Every node on
+    /// the DFS stack is admitted to the guard_span (protected and validated
+    /// against its parent); a popped node is released once the DFS is done
+    /// with it, so per-access schemes hold O(tree height) protections
+    /// however many keys the scan delivers. Always returns true; the
+    /// outcome is in ctx.state (the outer loop handles restarts so stack
+    /// growth can happen quiescently).
     template <class Visitor>
     bool range_body(accessor_t acc, const K& hi, scan_ctx& ctx,
                     Visitor& vis) {
@@ -878,6 +882,7 @@ class ellen_bst {
                         return true;  // early exit: span dies with the body
                     }
                 }
+                span.release(n);  // visited: never read again
                 continue;
             }
             // Internal: prune by the routing key, then admit the children
@@ -923,6 +928,9 @@ class ellen_bst {
                 }
                 ctx.stack.push_back(lc);
             }
+            // Both children are admitted and validated against n; the DFS
+            // never reads n again.
+            span.release(n);
         }
         ctx.state.store(scan_state::DONE, std::memory_order_relaxed);
         return true;

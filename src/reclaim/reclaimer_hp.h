@@ -16,6 +16,21 @@
 // bag -- giving O(1) expected amortized retirement (Section 3, "Hazard
 // Pointers"). The scan reuses the same partition-then-move-full-blocks trick
 // as DEBRA+'s rotate so reclamation still moves whole blocks.
+//
+// Slot bookkeeping is O(1) per protection for the patterns the data
+// structures use. Each thread's slots form one flat index space over its
+// chunk chain, and the owner keeps a private cursor over it (plain ints,
+// never read by scanners):
+//   * lo -- every slot below lo is taken, so protect() looks for a free
+//     slot from lo upward, not from slot 0;
+//   * hi -- every slot at or above hi is empty, so unprotect() searches
+//     down from hi (releasing a recently taken slot, as guard_ptr moves
+//     and the windowed range scan do, costs a few probes) and
+//     enter_qstate / clear_hazards clear only the used prefix [0, hi).
+// Releasing slot i lowers lo to i; releasing the top slot lowers hi past
+// every empty slot below it. Hand-over-hand traversals therefore keep
+// reusing the lowest slots, and the chain grows only when more than K
+// protections are live at once.
 #pragma once
 
 #include <array>
@@ -47,14 +62,14 @@ class hp_global {
     /// Hazard slots per chunk. The first chunk is the base budget: lists
     /// and trees need a handful (prev, cur, descriptor, helping targets);
     /// the skip list's locked window holds preds[] and succs[] across every
-    /// level. Bulk owners (guard_span: range scans holding a whole DFS
-    /// stack) can exceed any fixed budget, so each thread's slot row is a
-    /// *chain* of chunks grown on demand: the owner appends a fresh chunk
-    /// when every slot is taken, scanners follow the chain. Chunks are
-    /// never removed (slots empty out instead), so a scanner that misses a
-    /// just-published chunk can only miss slots that were empty at its
-    /// snapshot -- the same race as an empty slot filling after it was
-    /// read, which HP scans already tolerate.
+    /// level. Bulk owners (guard_span) can hold more than any fixed
+    /// budget at once, so each thread's slot row is a *chain* of chunks
+    /// grown on demand: the owner appends a fresh chunk when every slot is
+    /// taken, scanners follow the chain. Chunks are never removed (slots
+    /// empty out instead), so a scanner that misses a just-published chunk
+    /// can only miss slots that were empty at its snapshot -- the same race
+    /// as an empty slot filling after it was read, which HP scans already
+    /// tolerate.
     static constexpr int K = 64;
 
     hp_global(int num_threads, const config& cfg, debug_stats* stats)
@@ -65,13 +80,7 @@ class hp_global {
 
     ~hp_global() {
         for (int t = 0; t < MAX_THREADS; ++t) {
-            slot_chunk* c =
-                rows_[t]->next.load(std::memory_order_relaxed);
-            while (c != nullptr) {
-                slot_chunk* nx = c->next.load(std::memory_order_relaxed);
-                delete c;
-                c = nx;
-            }
+            for (slot_chunk* c : rows_[t]->more) delete c;
         }
     }
 
@@ -94,60 +103,42 @@ class hp_global {
 
     /// Announce + fence + validate. On validation failure the slot is
     /// released and the caller must treat the operation as contended.
-    /// When every slot in the thread's chain is taken, the owner appends a
+    /// The slot is the first free one at or above the owner's cursor lo;
+    /// when every slot in the thread's chain is taken, the owner appends a
     /// fresh chunk (grow-on-demand: only bulk spans ever reach this).
     template <class ValidateFn>
     bool protect(int tid, const void* p, ValidateFn&& validate) {
-        std::atomic<const void*>* slot = nullptr;
-        slot_chunk* chunk = &*rows_[tid];
-        for (;;) {
-            for (int i = 0; i < K; ++i) {
-                if (chunk->v[static_cast<std::size_t>(i)].load(
-                        std::memory_order_relaxed) == nullptr) {
-                    slot = &chunk->v[static_cast<std::size_t>(i)];
-                    break;
-                }
-            }
-            if (slot != nullptr) break;
-            slot_chunk* link = chunk->next.load(std::memory_order_relaxed);
-            if (link == nullptr) {
-                // Owner-only append. seq_cst publish so the standard HP
-                // scan argument covers chained slots: the publish
-                // precedes the announcement in the seq_cst total order,
-                // so a scan ordered after a successful validation's
-                // unlink observes the chunk (and hence the slot).
-                link = new slot_chunk;
-                chunk->next.store(link, std::memory_order_seq_cst);
-                total_slots_.fetch_add(K, std::memory_order_relaxed);
-            }
-            chunk = link;
-        }
+        row& r = *rows_[tid];
+        const int i = claim(r);
+        std::atomic<const void*>& slot = slot_at(r, i);
         // seq_cst store doubles as the announcement fence (paper: "a memory
         // barrier must be issued immediately after a HP is announced").
-        slot->store(p, std::memory_order_seq_cst);
-        if (!validate()) {
-            slot->store(nullptr, std::memory_order_release);
+        slot.store(p, std::memory_order_seq_cst);
+        if (!validate()) [[unlikely]] {
+            slot.store(nullptr, std::memory_order_release);
+            freed(r, i);
             if (stats_) stats_->add(tid, stat::hp_validation_failures);
             return false;
         }
         return true;
     }
 
+    /// Releases the newest slot holding p, searching down from the cursor
+    /// hi. Unknown pointers are ignored.
     void unprotect(int tid, const void* p) noexcept {
-        for (slot_chunk* c = &*rows_[tid]; c != nullptr;
-             c = c->next.load(std::memory_order_relaxed)) {
-            for (int i = 0; i < K; ++i) {
-                auto& s = c->v[static_cast<std::size_t>(i)];
-                if (s.load(std::memory_order_relaxed) == p) {
-                    s.store(nullptr, std::memory_order_release);
-                    return;
-                }
+        row& r = *rows_[tid];
+        for (int i = r.hi; i-- > 0;) {
+            std::atomic<const void*>& s = slot_at(r, i);
+            if (s.load(std::memory_order_relaxed) == p) {
+                s.store(nullptr, std::memory_order_release);
+                freed(r, i);
+                return;
             }
         }
     }
 
     bool is_protected(int tid, const void* p) const noexcept {
-        for (const slot_chunk* c = &*rows_[tid]; c != nullptr;
+        for (const slot_chunk* c = &rows_[tid]->head; c != nullptr;
              c = c->next.load(std::memory_order_relaxed)) {
             for (int i = 0; i < K; ++i) {
                 if (c->v[static_cast<std::size_t>(i)].load(
@@ -169,7 +160,7 @@ class hp_global {
     /// (seq_cst chain loads match the seq_cst publish -- see protect()).
     void collect_hazards(mem::ptr_hashset& out) const {
         for (int t = 0; t < num_threads_; ++t) {
-            for (const slot_chunk* c = &*rows_[t]; c != nullptr;
+            for (const slot_chunk* c = &rows_[t]->head; c != nullptr;
                  c = c->next.load(std::memory_order_seq_cst)) {
                 for (int i = 0; i < K; ++i) {
                     out.insert(c->v[static_cast<std::size_t>(i)].load(
@@ -196,7 +187,7 @@ class hp_global {
 
   private:
     /// One chunk of a thread's hazard-slot chain. Only the owning thread
-    /// appends; `next` is written once (release) and read with acquire.
+    /// appends; `next` is written once (seq_cst, see append_chunk).
     struct slot_chunk {
         // const void*: announcement slots only ever compare and hash; the
         // const_cast that used to launder retire-side pointers is gone.
@@ -204,22 +195,87 @@ class hp_global {
         std::atomic<slot_chunk*> next{nullptr};
     };
 
-    void clear_all(int tid) noexcept {
-        for (slot_chunk* c = &*rows_[tid]; c != nullptr;
-             c = c->next.load(std::memory_order_relaxed)) {
-            for (int i = 0; i < K; ++i) {
-                auto& s = c->v[static_cast<std::size_t>(i)];
-                if (s.load(std::memory_order_relaxed) != nullptr)
-                    s.store(nullptr, std::memory_order_release);
-            }
+    /// One thread's slots: the chain scanners walk (head + next links) and
+    /// the owner's private index of it. Slot i lives in chunk i / K, where
+    /// chunk 0 is head and chunk c > 0 is more[c - 1].
+    struct row {
+        slot_chunk head;
+        // Owner-only cursor (see the header comment): slots [0, lo) are
+        // taken, slots [hi, capacity) are empty.
+        int lo = 0;
+        int hi = 0;
+        int capacity = K;
+        std::vector<slot_chunk*> more;
+    };
+
+    static std::atomic<const void*>& slot_at(row& r, int i) noexcept {
+        slot_chunk& c =
+            i < K ? r.head : *r.more[static_cast<std::size_t>(i / K - 1)];
+        return c.v[static_cast<std::size_t>(i % K)];
+    }
+
+    /// Index of the first free slot at or above lo, taken by the caller.
+    /// Forced inline: it is protect()'s hot path, and a call costs more
+    /// than the loop does.
+    [[gnu::always_inline]] int claim(row& r) {
+        int i = r.lo;
+        while (i < r.hi &&
+               slot_at(r, i).load(std::memory_order_relaxed) != nullptr) {
+            ++i;
         }
+        if (i == r.hi) {
+            if (i == r.capacity) [[unlikely]] append_chunk(r);
+            ++r.hi;
+        }
+        r.lo = i + 1;
+        return i;
+    }
+
+    /// Cursor update after slot i became empty.
+    static void freed(row& r, int i) noexcept {
+        if (i < r.lo) r.lo = i;
+        if (i + 1 == r.hi) {
+            // Slots below lo are taken, so this stops at lo at the latest.
+            do {
+                --r.hi;
+            } while (r.hi > r.lo &&
+                     slot_at(r, r.hi - 1).load(std::memory_order_relaxed) ==
+                         nullptr);
+        }
+    }
+
+    // Cold: kept out of line so the inlined claim() stays small.
+    [[gnu::noinline]] void append_chunk(row& r) {
+        slot_chunk* tail = r.more.empty() ? &r.head : r.more.back();
+        r.more.reserve(r.more.size() + 1);
+        // Owner-only append. seq_cst publish so the standard HP scan
+        // argument covers chained slots: the publish precedes the
+        // announcement in the seq_cst total order, so a scan ordered after
+        // a successful validation's unlink observes the chunk (and hence
+        // the slot).
+        slot_chunk* link = new slot_chunk;
+        tail->next.store(link, std::memory_order_seq_cst);
+        r.more.push_back(link);
+        r.capacity += K;
+        total_slots_.fetch_add(K, std::memory_order_relaxed);
+    }
+
+    void clear_all(int tid) noexcept {
+        row& r = *rows_[tid];
+        for (int i = 0; i < r.hi; ++i) {
+            std::atomic<const void*>& s = slot_at(r, i);
+            if (s.load(std::memory_order_relaxed) != nullptr)
+                s.store(nullptr, std::memory_order_release);
+        }
+        r.lo = 0;
+        r.hi = 0;
     }
 
     const int num_threads_;
     const config cfg_;
     debug_stats* stats_;
     std::atomic<long long> total_slots_{0};
-    std::array<padded<slot_chunk>, MAX_THREADS> rows_{};
+    std::array<padded<row>, MAX_THREADS> rows_{};
 };
 
 }  // namespace detail

@@ -23,13 +23,14 @@
 //   * guard_span      owns N per-access protections at once: the bulk
 //                     flavour for operations -- range queries above all --
 //                     that must keep an unbounded set of records safe
-//                     simultaneously. Move-only; releases everything on
-//                     destruction/reset; records its protections in a
-//                     grow-on-demand array (small inline buffer, heap
-//                     doubling past it). For epoch schemes it is an empty,
-//                     trivially destructible token (static_assert-enforced,
-//                     like guard_ptr), so spans are legal inside
-//                     run_guarded bodies under neutralizing schemes;
+//                     simultaneously. Move-only; release(p) drops one
+//                     record early, destruction/reset drop the rest;
+//                     records its protections in a grow-on-demand array
+//                     (small inline buffer, heap doubling past it). For
+//                     epoch schemes it is an empty, trivially destructible
+//                     token (static_assert-enforced, like guard_ptr), so
+//                     spans are legal inside run_guarded bodies under
+//                     neutralizing schemes;
 //   * op_guard        brackets leave_qstate/enter_qstate for one
 //                     operation of a non-neutralizing scheme;
 //   * run_guarded     the op_guard discipline composed with run_op: for
@@ -172,10 +173,12 @@ class guard_ptr<Mgr, T, false> {
 ///     destructible, nothing at run time.
 ///
 /// The span records what it protected in a grow-on-demand array (inline
-/// buffer of 16, heap doubling beyond) and releases in reverse order on
-/// reset()/destruction. Like guard_ptr, a span must die before the
-/// operation that justified it ends (op_guard / run_guarded assert this in
-/// debug builds via the manager's live-guard accounting).
+/// buffer of 16, heap doubling beyond). release(p) drops one record as soon
+/// as the caller is done with it, so a scan can keep only its frontier
+/// live; reset()/destruction release the rest in reverse order. Like
+/// guard_ptr, a span must die before the operation that justified it ends
+/// (op_guard / run_guarded assert this in debug builds via the manager's
+/// live-guard accounting).
 template <class Mgr, bool PerAccess = Mgr::per_access_protection>
 class guard_span {
   public:
@@ -240,6 +243,25 @@ class guard_span {
     template <class T>
     [[nodiscard]] bool protect(T* p) {
         return protect(p, [] { return true; });
+    }
+
+    /// Releases one admitted record before the rest of the span: for
+    /// scans that are done with a record while its successors must stay
+    /// protected (ellen_bst's range scan drops each node once its children
+    /// are admitted). The record list is searched from the newest end, so
+    /// releasing a recent admission takes a few steps; the other entries
+    /// keep their order. A record the span does not hold is ignored.
+    template <class T>
+    void release(T* p) noexcept {
+        const void** s = slots();
+        for (std::size_t i = count_; i-- > 0;) {
+            if (s[i] != p) continue;
+            mgr_->unprotect(tid_, s[i]);
+            mgr_->guard_released(tid_);
+            for (std::size_t j = i + 1; j < count_; ++j) s[j - 1] = s[j];
+            --count_;
+            return;
+        }
     }
 
     /// Releases every protection this span holds, newest first. The
@@ -311,6 +333,8 @@ class guard_span<Mgr, false> {
     [[nodiscard]] bool protect(T*) noexcept {
         return true;
     }
+    template <class T>
+    void release(T*) noexcept {}
     void reset() noexcept {}
     std::size_t size() const noexcept { return 0; }
     bool empty() const noexcept { return true; }

@@ -273,6 +273,45 @@ TYPED_TEST(GuardTyped, SpanGrowsPastEveryFixedBudget) {
     for (rec* r : recs) acc.deallocate(r);
 }
 
+TYPED_TEST(GuardTyped, SpanReleaseDropsOnlyThatRecord) {
+    typename TestFixture::mgr_t mgr(2);
+    auto handle = mgr.register_thread();
+    auto acc = mgr.access(handle);
+    const int tid = handle.tid();
+    std::vector<rec*> recs;
+    for (int i = 0; i < 6; ++i) {
+        recs.push_back(acc.template new_record<rec>());
+    }
+    {
+        auto op = acc.op();  // its debug assert checks the accounting below
+        auto span = acc.make_span();
+        for (rec* r : recs) ASSERT_TRUE(span.protect(r));
+        // Middle, newest, oldest: the release order of a DFS window.
+        span.release(recs[2]);
+        span.release(recs[5]);
+        span.release(recs[0]);
+        span.release(recs[2]);  // not held any more: ignored
+        if constexpr (TypeParam::per_access_protection) {
+            EXPECT_EQ(span.size(), 3u);
+            EXPECT_EQ(mgr.live_guard_count(tid), 3);
+        } else {
+            EXPECT_EQ(span.size(), 0u);  // still the empty token
+            EXPECT_EQ(mgr.live_guard_count(tid), 0);
+        }
+        if constexpr (std::string_view(TypeParam::name) == "hp") {
+            for (std::size_t i = 0; i < recs.size(); ++i) {
+                const bool kept = i == 1 || i == 3 || i == 4;
+                EXPECT_EQ(mgr.is_protected(tid, recs[i]), kept) << i;
+            }
+        }
+    }
+    EXPECT_EQ(mgr.live_guard_count(tid), 0);
+    if constexpr (std::string_view(TypeParam::name) == "hp") {
+        for (rec* r : recs) EXPECT_FALSE(mgr.is_protected(tid, r));
+    }
+    for (rec* r : recs) acc.deallocate(r);
+}
+
 TYPED_TEST(GuardTyped, SpanMoveTransfersOwnershipWithoutDoubleRelease) {
     typename TestFixture::mgr_t mgr(2);
     auto handle = mgr.register_thread();

@@ -9,13 +9,17 @@
 //   * concurrent churn during scans never breaks the ascending-keys
 //     guarantee, delivers only in-range keys, and is ASan-clean (a scan
 //     dereferencing a reclaimed node is a use-after-free under ASan --
-//     the protected-node-reclamation probe).
+//     the protected-node-reclamation probe);
+//   * under HP the ellen_bst scan's protection window is the DFS
+//     frontier: a full scan stays within O(tree height) hazards and never
+//     grows the slot chain.
 //
 // Visitors write through preallocated buffers / atomics so they satisfy
 // the run_guarded body contract under DEBRA+ (ellen_bst scans run inside
 // the neutralization recovery harness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -299,6 +303,80 @@ TYPED_TEST(RangeQueryTyped, HashMapChurnScan) {
         ds::hash_map<key_t, val_t, mgr_t> map(mgr, 16);
         churn_scan(mgr, map, 512);
     }
+}
+
+// ---- the ellen_bst scan's protection window under HP ----------------------
+
+/// HP global state that also tracks the thread's live protections
+/// (successful protects minus unprotects) and their peak. Single-threaded
+/// use only.
+class peak_hp_global : public reclaim::detail::hp_global {
+  public:
+    using hp_global::hp_global;
+
+    template <class ValidateFn>
+    bool protect(int tid, const void* p, ValidateFn&& validate) {
+        const bool ok =
+            hp_global::protect(tid, p, std::forward<ValidateFn>(validate));
+        if (ok) peak = std::max(peak, ++live);
+        return ok;
+    }
+    void unprotect(int tid, const void* p) noexcept {
+        hp_global::unprotect(tid, p);
+        --live;
+    }
+
+    int live = 0;
+    int peak = 0;
+};
+
+struct peak_hp : reclaim::reclaim_hp {
+    using global_state = peak_hp_global;
+};
+
+template <class Node>
+int tree_height(const Node* n) {
+    const Node* l = n->left.load(std::memory_order_relaxed);
+    if (l == nullptr) return 0;
+    return 1 + std::max(tree_height(l),
+                        tree_height(n->right.load(std::memory_order_relaxed)));
+}
+
+TEST(EllenBstScanWindow, FullScanHoldsOnlyTheFrontier) {
+    using mgr_t = testutil::bst_mgr<peak_hp>;
+    mgr_t mgr(1, fast_config<mgr_t>());
+    const std::size_t base_hazards = mgr.global().max_hazards();
+    ds::ellen_bst<key_t, val_t, mgr_t> bst(mgr);
+    auto handle = mgr.register_thread();
+    auto acc = mgr.access(handle);
+
+    // Half of 10^4 keys, inserted in random order.
+    constexpr key_t KEYS = 10000;
+    prng rng(7);
+    for (long long size = 0; size < KEYS / 2;) {
+        const key_t k = static_cast<key_t>(rng.next(KEYS));
+        if (bst.insert(acc, k, k * 3)) ++size;
+    }
+    const long long size = bst.size_slow();
+    ASSERT_EQ(size, KEYS / 2);
+    const int height = tree_height(bst.root());
+
+    mgr.global().live = 0;
+    mgr.global().peak = 0;
+    std::atomic<long long> seen{0};
+    const long long visited =
+        bst.range_query(acc, 0, KEYS, [&](const key_t&, const val_t&) {
+            seen.fetch_add(1, std::memory_order_relaxed);
+        });
+    EXPECT_EQ(visited, size);
+    EXPECT_EQ(seen.load(), size);
+    EXPECT_EQ(mgr.global().live, 0);
+    EXPECT_EQ(mgr.live_guard_count(handle.tid()), 0);
+    // The window: one live protection per pending DFS branch, never one
+    // per scanned node -- so the base slot chunk suffices.
+    EXPECT_LE(mgr.global().peak, 2 * height + 2)
+        << "height " << height << ", " << size << " keys";
+    EXPECT_EQ(mgr.global().max_hazards(), base_hazards);
 }
 
 }  // namespace

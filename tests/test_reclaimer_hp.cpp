@@ -1,9 +1,11 @@
 // Tests for the hazard-pointer reclaimer (src/reclaim/reclaimer_hp.h):
 // announce/validate semantics, scan-and-free with protection, slot
-// lifecycle, and the amortized scan threshold.
+// lifecycle, the slot cursor's invariants, and the amortized scan
+// threshold.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <set>
 #include <thread>
 #include <vector>
@@ -135,14 +137,27 @@ TEST(ReclaimHp, CrossThreadProtectionHonoredDuringScan) {
     std::atomic<bool> protected_flag{false};
     std::atomic<bool> release{false};
     std::atomic<bool> content_ok{true};
+    // Filler the reader holds next to the target: more than K records,
+    // every third released again, so its chain has two chunks and holes.
+    constexpr int FILLER = reclaim::detail::hp_global::K + 40;
+    std::vector<rec> filler(FILLER);
+    std::vector<rec*> live_filler;
 
     std::thread reader([&] {
         mgr.init_thread(1);
+        for (rec& f : filler) mgr.protect(1, &f);
+        for (int i = 0; i < FILLER; ++i) {
+            if (i % 3 == 0) {
+                mgr.unprotect(1, &filler[static_cast<std::size_t>(i)]);
+            } else {
+                live_filler.push_back(&filler[static_cast<std::size_t>(i)]);
+            }
+        }
         rec* r;
         while ((r = handoff.load(std::memory_order_acquire)) == nullptr) {
             std::this_thread::yield();
         }
-        mgr.protect(1, r);
+        mgr.protect(1, r);  // lands in a hole, not at the end of the chain
         protected_flag.store(true, std::memory_order_release);
         while (!release.load(std::memory_order_acquire)) {
             if (r->v != 42) {
@@ -152,6 +167,7 @@ TEST(ReclaimHp, CrossThreadProtectionHonoredDuringScan) {
             std::this_thread::yield();
         }
         mgr.unprotect(1, r);
+        for (rec* f : live_filler) mgr.unprotect(1, f);
         mgr.deinit_thread(1);
     });
 
@@ -162,6 +178,12 @@ TEST(ReclaimHp, CrossThreadProtectionHonoredDuringScan) {
     while (!protected_flag.load(std::memory_order_acquire)) {
         std::this_thread::yield();
     }
+    // The reader's slot row is a grown chain with holes; the scanner must
+    // still see every live hazard in it.
+    mem::ptr_hashset seen(mgr.global().max_hazards());
+    mgr.global().collect_hazards(seen);
+    EXPECT_TRUE(seen.contains(target));
+    for (rec* r : live_filler) EXPECT_TRUE(seen.contains(r));
     // Retire the target plus enough filler to force several scans.
     mgr.retire<rec>(0, target);
     const long long threshold = mgr.global().scan_threshold_records();
@@ -199,6 +221,85 @@ TEST(ReclaimHp, ManySlotsUsableSimultaneously) {
     for (rec* r : recs) EXPECT_TRUE(mgr.is_protected(0, r));
     mgr.enter_qstate(0);
     for (rec* r : recs) mgr.deallocate<rec>(0, r);
+    mgr.deinit_thread(0);
+}
+
+// ---- slot cursor invariants ------------------------------------------------
+
+TEST(ReclaimHp, HandOverHandNeverGrowsTheChain) {
+    // The search shape: hold a window of three (gp, p, l), admit the next
+    // record, drop the oldest -- releases are FIFO, not LIFO. Ten thousand
+    // steps must keep reusing the base chunk.
+    mgr_hp mgr(1);
+    mgr.init_thread(0);
+    const std::size_t base = mgr.global().max_hazards();
+    std::vector<rec> recs(16);
+    std::deque<rec*> held;
+    for (int step = 0; step < 10000; ++step) {
+        rec* r = &recs[static_cast<std::size_t>(step) % recs.size()];
+        ASSERT_TRUE(mgr.protect(0, r));
+        held.push_back(r);
+        if (held.size() > 3) {
+            mgr.unprotect(0, held.front());
+            EXPECT_FALSE(mgr.is_protected(0, held.front()));
+            held.pop_front();
+        }
+    }
+    EXPECT_EQ(mgr.global().max_hazards(), base);
+    mem::ptr_hashset seen(base);
+    mgr.global().collect_hazards(seen);
+    for (rec* r : held) EXPECT_TRUE(seen.contains(r));
+    mgr.enter_qstate(0);
+    for (rec& r : recs) EXPECT_FALSE(mgr.is_protected(0, &r));
+    mgr.deinit_thread(0);
+}
+
+TEST(ReclaimHp, MoreThanKProtectionsAppendAChunk) {
+    mgr_hp mgr(1);
+    mgr.init_thread(0);
+    constexpr int K = reclaim::detail::hp_global::K;
+    const std::size_t base = mgr.global().max_hazards();
+    std::vector<rec> recs(K + 1);
+    for (rec& r : recs) ASSERT_TRUE(mgr.protect(0, &r));
+    EXPECT_EQ(mgr.global().max_hazards(), base + K);
+    mem::ptr_hashset seen(mgr.global().max_hazards());
+    mgr.global().collect_hazards(seen);
+    for (rec& r : recs) EXPECT_TRUE(seen.contains(&r));
+    // Oldest first: every release still finds its slot.
+    for (rec& r : recs) mgr.unprotect(0, &r);
+    for (rec& r : recs) EXPECT_FALSE(mgr.is_protected(0, &r));
+    // The grown chain is reused, never extended again for the same load.
+    for (rec& r : recs) ASSERT_TRUE(mgr.protect(0, &r));
+    EXPECT_EQ(mgr.global().max_hazards(), base + K);
+    mgr.enter_qstate(0);
+    for (rec& r : recs) EXPECT_FALSE(mgr.is_protected(0, &r));
+    mgr.deinit_thread(0);
+}
+
+TEST(ReclaimHp, FailedValidationFreesSlotAndCursor) {
+    // Fill all but the last slot of the base chunk, then fail a validation
+    // in that last slot. The slot and the cursor must both come back: the
+    // next protect lands there instead of appending a chunk.
+    mgr_hp mgr(1);
+    mgr.init_thread(0);
+    constexpr int K = reclaim::detail::hp_global::K;
+    const std::size_t base = mgr.global().max_hazards();
+    std::vector<rec> recs(K + 1);
+    for (int i = 0; i < K - 1; ++i) {
+        ASSERT_TRUE(mgr.protect(0, &recs[static_cast<std::size_t>(i)]));
+    }
+    rec* rejected = &recs[K - 1];
+    EXPECT_FALSE(mgr.protect(0, rejected, [] { return false; }));
+    EXPECT_FALSE(mgr.is_protected(0, rejected));
+    ASSERT_TRUE(mgr.protect(0, &recs[K]));
+    EXPECT_EQ(mgr.global().max_hazards(), base);
+    // Now K are live: one more needs a second chunk.
+    ASSERT_TRUE(mgr.protect(0, rejected));
+    EXPECT_EQ(mgr.global().max_hazards(), base + K);
+    mem::ptr_hashset seen(mgr.global().max_hazards());
+    mgr.global().collect_hazards(seen);
+    for (rec& r : recs) EXPECT_TRUE(seen.contains(&r));
+    mgr.enter_qstate(0);
     mgr.deinit_thread(0);
 }
 
