@@ -39,7 +39,6 @@
 #include "ds/treiber_stack.h"
 #include "harness/bench_config.h"
 #include "harness/report.h"
-#include "harness/serve.h"
 #include "harness/workload.h"
 #include "recordmgr/record_manager.h"
 #include "reclaim/era/reclaimer_he.h"
@@ -242,9 +241,9 @@ enum class point_status {
 /// One timed trial of `cfg` on a freshly constructed manager + structure.
 /// The adapter's concept picks the harness shape: ordered sets run the
 /// paper's mix (plus range queries), stacks/queues run push/pop. With
-/// cfg.serve.enabled, set-shaped adapters run the sustained-service loop
-/// instead (run_serve_trial: open-loop pacing + snapshot streaming + the
-/// leak monitor); push/pop adapters are gated off in run_with_policy.
+/// cfg.serve.enabled the same trial paces, churns and streams its timeline
+/// (ds / scheme stamped on the header); push/pop adapters are gated off
+/// serve mode in run_with_policy.
 template <class Adapter, class Scheme, class Alloc, class Pool>
 harness::trial_result run_one_trial(const harness::workload_config& cfg) {
     using mgr_t = typename Adapter::template mgr_t<Scheme, Alloc, Pool>;
@@ -253,15 +252,10 @@ harness::trial_result run_one_trial(const harness::workload_config& cfg) {
     if constexpr (Adapter::is_pushpop) {
         return harness::run_pushpop_trial(structure, mgr, cfg);
     } else {
-        if (cfg.serve.enabled) {
-            harness::json meta = harness::json::object();
-            meta.set("ds", std::string(Adapter::name));
-            meta.set("scheme", std::string(Scheme::name));
-            return harness::run_serve_trial_set(
-                structure, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION,
-                meta);
-        }
-        return harness::run_trial(structure, mgr, cfg);
+        harness::json meta = harness::json::object();
+        meta.set("ds", std::string(Adapter::name));
+        meta.set("scheme", std::string(Scheme::name));
+        return harness::run_trial(structure, mgr, cfg, meta);
     }
 }
 

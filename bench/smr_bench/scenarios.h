@@ -83,7 +83,8 @@ const std::vector<scenario>& all_scenarios();
 
 const scenario* find_scenario(const std::string& name);
 
-// Custom run functions (special_scenarios.cpp / scenario_guard_overhead.cpp).
+// Custom run functions (special_scenarios.cpp / scenario_overhead_ab.cpp /
+// scenario_serve.cpp).
 int run_table2_traits(const scenario&, const harness::bench_config&,
                       harness::json* doc);
 int run_ablation_blockpool(const scenario&, const harness::bench_config&,

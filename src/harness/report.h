@@ -60,7 +60,8 @@
 
 namespace smr::harness {
 
-inline constexpr int SMR_BENCH_SCHEMA_VERSION = 4;
+// SMR_BENCH_SCHEMA_VERSION (the version this build writes) lives in
+// workload.h, whose serve-mode trials stamp it on timeline headers.
 /// Oldest schema this build still reads (validators and bench_diff accept
 /// the closed range up to SMR_BENCH_SCHEMA_VERSION). v3 documents lack
 /// only additive stanzas (serve, timelines), so they stay comparable.
@@ -199,7 +200,7 @@ inline json point_to_json(const point_meta& m, const trial_result& r) {
     p.set("latency", latency_to_json(r.latency));
 
     // Sustained-service stanza (v4, additive): present only for points
-    // produced by run_serve_trial.
+    // of serve-mode trials (serve_config::enabled).
     if (r.serve.ran) {
         json sv = json::object();
         sv.set("snapshots", r.serve.snapshots);

@@ -5,8 +5,8 @@
 // structure to half its key range, then have T threads perform a random
 // operation mix (x% insert / y% delete / rest search) on uniform keys for a
 // fixed wall-clock interval, and report throughput plus memory metrics.
-// This header implements that harness once, for any structure satisfying a
-// container concept and any record_manager instantiation:
+// This header implements that harness once, as one trial engine
+// (run_timed_trial) parameterized by an operation shape:
 //
 //   run_trial          ordered_set_like structures: insert / erase /
 //                      contains plus (rq_pct > 0) range_query ops, the
@@ -15,6 +15,13 @@
 //   run_pushpop_trial  stack_queue_like structures: push / try_pop mixes,
 //                      which finally lets treiber_stack and ms_queue into
 //                      the scenario registry.
+//
+// The same loop runs closed-loop benchmarks and sustained-service soaks
+// (serve_config::enabled, DESIGN.md Section 12.5): a closed loop is an
+// open loop at infinite rate, so serve mode only adds a per-worker token
+// bucket, registration-churn waves, the event trace, and the snapshot
+// streamer with its leak monitor. Phases, pauses, the straggler, latency
+// sampling and the per-phase harvest behave identically in both modes.
 //
 // Correctness guard: each thread tracks the net number of keys (elements)
 // it added; after the trial the structure's size must equal the prefill
@@ -31,13 +38,17 @@
 
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../obs/event_ring.h"
+#include "../obs/snapshot.h"
 #include "../topo/pin.h"
 #include "../util/barrier.h"
 #include "../util/debug_stats.h"
@@ -45,17 +56,22 @@
 #include "../util/prng.h"
 #include "../util/timing.h"
 #include "bench_config.h"
+#include "json.h"
 #include "key_dist.h"
 #include "latency.h"
 #include "schedule.h"
 
 namespace smr::harness {
 
+/// The run-document schema (report.h builds and validates it). Defined here
+/// because serve-mode trials stamp it on their timeline header.
+inline constexpr int SMR_BENCH_SCHEMA_VERSION = 4;
+
 /// Sustained-service ("soak") mode: instead of a closed loop saturating the
 /// structure, every worker paces itself against an open-loop arrival rate
 /// (token bucket), while a sampler thread streams snapshot + event timelines
 /// and an invariant monitor watches limbo / footprint for monotone growth
-/// (the leak sentinel). See src/harness/serve.h for the trial loop.
+/// (the leak sentinel). run_timed_trial below runs both modes.
 struct serve_config {
     bool enabled = false;
     /// Total offered load across all workers, ops/sec. Split evenly per
@@ -132,8 +148,8 @@ struct workload_config {
     /// into the per-op-kind histograms (--lat-sample). 0 disables
     /// recording; 1 times every operation.
     int lat_sample = 32;
-    /// Sustained-service mode (run_serve_trial); ignored by the closed-loop
-    /// trial runners.
+    /// Sustained-service mode; every field but `enabled` is ignored while
+    /// `enabled` is false.
     serve_config serve;
 };
 
@@ -378,11 +394,38 @@ struct pushpop_shape {
     }
 };
 
-/// The timed-trial skeleton shared by both shapes: prefill, spawn workers
-/// under RAII thread handles, run the control loop (phase publication,
-/// hotspot sliding, per-phase counter snapshots), harvest.
+/// Max ops a paced worker issues per token-bucket wakeup: big enough to
+/// amortize the clock read, small enough that a stop/churn signal is
+/// honored promptly.
+inline constexpr long long SERVE_BATCH = 64;
+
+}  // namespace workload_detail
+
+/// The one trial engine: prefill, spawn workers under RAII thread handles,
+/// run the control loop, harvest. `Shape` is the operation arm
+/// (workload_detail::set_shape / pushpop_shape, or a scenario's own: any
+/// type with the same static prefill / do_op pair).
+///
+/// Workers run the active phase's mix (honoring its pause_us think time),
+/// or the epoch-blocking straggler loop for cfg.stall_tid. With
+/// cfg.serve.enabled the same workers also pace themselves (token bucket:
+/// their share of ops_per_sec accrues with wall-clock time and is issued
+/// in bursts of at most SERVE_BATCH; 0 = unpaced), the last churn_threads
+/// of them deregister and re-register on every churn wave, and worker 0
+/// leaks a retired record every canary_leak_every ops. Serve mode also
+/// arms the event trace and a snapshot streamer whose invariant monitor
+/// fills res.serve; `timeline_meta` (ds / scheme / ...) is merged into the
+/// timeline header.
+///
+/// The control thread publishes the schedule phase, snapshots the counters
+/// at phase boundaries (phase_metrics), slides the hotspot window and fires
+/// churn waves on 1ms ticks -- and just sleeps for trial_ms when none of
+/// those is configured. Workers never read the clock unless paced.
 template <class Shape, class DS, class Mgr>
-trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
+trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg,
+                             const json& timeline_meta = json::object()) {
+    using workload_detail::per_thread;
+    const serve_config& sv = cfg.serve;
     trial_result res;
     mgr.stats().clear();
     assert(schedule_valid(cfg.phases) && "run_trial: invalid phase schedule");
@@ -397,13 +440,24 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
                "run_trial: a phase's mix leaves no room for rq_pct");
     }
 
-    // Scenario-engine state: the shared key distribution and the current
-    // schedule phase. Workers read both with relaxed loads; only the
-    // control thread (below) writes them, on its clock ticks.
+    if (sv.enabled) {
+        res.serve.ran = true;
+        res.serve.target_ops_per_sec = static_cast<double>(sv.ops_per_sec);
+        obs::g_event_trace.enable(
+            cfg.num_threads, sv.ring_capacity > 0
+                                 ? static_cast<std::size_t>(sv.ring_capacity)
+                                 : std::size_t{4096});
+    }
+
+    // Scenario-engine state: the shared key distribution, the current
+    // schedule phase and the churn generation. Workers read them with
+    // relaxed loads; only the control thread (below) writes them, on its
+    // clock ticks.
     key_dist_shared dist(cfg.dist, cfg.key_range);
     const std::size_t num_phases =
         cfg.phases.empty() ? 1 : cfg.phases.size();
     std::atomic<int> phase_idx{0};
+    std::atomic<std::uint64_t> churn_gen{0};
 
     if (cfg.prefill) {
         // Scoped registration: tid 0 must be free again for worker 0.
@@ -420,8 +474,7 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
     spin_barrier ready(static_cast<std::uint32_t>(cfg.num_threads) + 1);
     spin_barrier done(static_cast<std::uint32_t>(cfg.num_threads) + 1);
 
-    std::vector<workload_detail::per_thread> stats(
-        static_cast<std::size_t>(cfg.num_threads));
+    std::vector<per_thread> stats(static_cast<std::size_t>(cfg.num_threads));
     for (auto& s : stats) s.phase_ops.assign(num_phases, 0);
 
     // Per-thread latency recorders, cache-line padded like the counter
@@ -431,56 +484,65 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
     std::vector<padded<op_latency_recorder>> recorders(
         static_cast<std::size_t>(cfg.num_threads));
     for (auto& r : recorders) r->set_sample_every(cfg.lat_sample);
-    // Cumulative merge across threads and op kinds; phase harvests diff
-    // successive snapshots of this.
-    auto merge_latency = [&recorders, &cfg] {
-        lat_summary out;
-        for (int t = 0; t < cfg.num_threads; ++t) {
-            for (int k = 0; k < N_OP_KINDS; ++k) {
-                out.add(recorders[static_cast<std::size_t>(t)]->hist(
-                    static_cast<op_kind>(k)));
-            }
-        }
-        return out;
-    };
-    lat_summary prev_lat;
+
+    // Serve-mode knobs, resolved to their closed-loop no-ops when serve
+    // mode is off (rate 0 = unpaced, no churner, no canary).
+    const double per_thread_rate =
+        sv.enabled && sv.ops_per_sec > 0
+            ? static_cast<double>(sv.ops_per_sec) / cfg.num_threads
+            : 0.0;
+    const int first_churner =
+        sv.enabled && sv.churn_period_ms > 0 && sv.churn_threads > 0
+            ? cfg.num_threads - sv.churn_threads
+            : cfg.num_threads;
+    // Written only by worker 0, read by the control thread after join.
+    long long canary_leaks = 0;
 
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(cfg.num_threads));
     for (int t = 0; t < cfg.num_threads; ++t) {
         threads.emplace_back([&, t] {
-            // Registration applies the placement policy (compact/scatter
-            // pinning) before the worker touches any memory, so
-            // first-touch pages and arena homes land on the pinned socket.
-            auto handle = mgr.register_thread(t, cfg.pin);
-            auto acc = mgr.access(handle);
             prng rng(cfg.seed * 1000003ULL + static_cast<std::uint64_t>(t));
             per_thread& mine = stats[static_cast<std::size_t>(t)];
             op_latency_recorder& rec =
                 *recorders[static_cast<std::size_t>(t)];
-            ready.arrive_and_wait();
-            while (!start.load(std::memory_order_acquire)) {
-                std::this_thread::yield();
-            }
-            if (t == cfg.stall_tid) {
-                // Epoch-blocking straggler (see workload_config::stall_tid).
-                while (!stop.load(std::memory_order_acquire)) {
-                    acc.run_guarded(
-                        [&] {
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(cfg.stall_ms));
-                            return true;
-                        },
-                        [] { return true; });
-                    ++mine.ops;
+            const bool churner = t >= first_churner;
+            const long long leak_every =
+                sv.enabled && t == 0 ? sv.canary_leak_every : 0;
+            stopwatch pace;
+            bool first = true;
+            // One iteration per registration scope: churners fall out of
+            // the op loop on a generation change, the handle deregisters
+            // (DEBRA+ drains its signals in deinit), and they re-register.
+            // Everyone else runs one scope for the whole trial.
+            for (;;) {
+                // Registration applies the placement policy (compact/
+                // scatter pinning) before the worker touches any memory,
+                // so first-touch pages and arena homes land on the pinned
+                // socket.
+                auto handle = mgr.register_thread(t, cfg.pin);
+                auto acc = mgr.access(handle);
+                if (first) {
+                    first = false;
+                    ready.arrive_and_wait();
+                    while (!start.load(std::memory_order_acquire)) {
+                        std::this_thread::yield();
+                    }
+                    pace.reset();  // token bucket accrues from trial start
                 }
-            } else {
-                while (!stop.load(std::memory_order_acquire)) {
+                const std::uint64_t my_gen =
+                    churn_gen.load(std::memory_order_acquire);
+                const auto serving = [&] {
+                    return !stop.load(std::memory_order_acquire) &&
+                           !(churner && churn_gen.load(
+                                            std::memory_order_relaxed) !=
+                                            my_gen);
+                };
+                const auto one_op = [&] {
                     int ins_pct = cfg.insert_pct;
                     int del_pct = cfg.delete_pct;
                     int pause_us = 0;
-                    const int pi =
-                        phase_idx.load(std::memory_order_relaxed);
+                    const int pi = phase_idx.load(std::memory_order_relaxed);
                     if (!cfg.phases.empty()) {
                         const phase_spec& ph =
                             cfg.phases[static_cast<std::size_t>(pi)];
@@ -492,39 +554,125 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
                                  mine, rec.arm() ? &rec : nullptr);
                     ++mine.ops;
                     ++mine.phase_ops[static_cast<std::size_t>(pi)];
+                    if (leak_every > 0 && mine.ops % leak_every == 0) {
+                        // Deliberate leak: retire accounting without a
+                        // matching pool hand-back. The monitor must trip.
+                        mgr.leak_retired_record(0);
+                        ++canary_leaks;
+                    }
                     if (pause_us > 0) {
                         // Bursty phase: think time between operations.
                         std::this_thread::sleep_for(
                             std::chrono::microseconds(pause_us));
                     }
+                };
+
+                if (t == cfg.stall_tid) {
+                    // Epoch-blocking straggler (see workload_config::
+                    // stall_tid).
+                    while (serving()) {
+                        acc.run_guarded(
+                            [&] {
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(cfg.stall_ms));
+                                return true;
+                            },
+                            [] { return true; });
+                        ++mine.ops;
+                    }
+                } else {
+                    while (serving()) {
+                        long long budget = 1;
+                        if (per_thread_rate > 0) {
+                            budget = static_cast<long long>(
+                                         pace.elapsed_seconds() *
+                                         per_thread_rate) -
+                                     mine.ops;
+                            if (budget <= 0) {
+                                // Ahead of the arrival curve: open-loop
+                                // idle.
+                                std::this_thread::sleep_for(
+                                    std::chrono::microseconds(100));
+                                continue;
+                            }
+                            if (budget > workload_detail::SERVE_BATCH) {
+                                budget = workload_detail::SERVE_BATCH;
+                            }
+                        }
+                        while (budget-- > 0) one_op();
+                    }
+                }
+                if (stop.load(std::memory_order_acquire)) {
+                    // Still registered: deregistration (and DEBRA+'s
+                    // signal drain) stays outside the timed window.
+                    done.arrive_and_wait();
+                    break;
                 }
             }
-            done.arrive_and_wait();
-            // The handle deregisters on scope exit; DEBRA+ drains in-flight
-            // neutralization signals inside deinit, so no further barrier
-            // is needed before the thread exits.
         });
     }
 
+    // Serve mode: snapshots + event drains + the leak monitor, on the
+    // streamer's own sampler thread. Every snapshot is augmented with the
+    // serve-side gauges the sampler can read race-free (atomics only).
+    std::optional<obs::snapshot_streamer> streamer;
+    json header_meta = json::object();
+    if (sv.enabled) {
+        obs::snapshot_config scfg;
+        scfg.snapshot_ms = sv.snapshot_ms > 0 ? sv.snapshot_ms : 100;
+        scfg.path = sv.timeline_path;
+        scfg.monitor.window = sv.monitor_window;
+        scfg.monitor.min_growth = sv.monitor_min_growth;
+        scfg.monitor.consecutive = sv.monitor_consecutive;
+        scfg.monitor.warmup = sv.monitor_warmup;
+        streamer.emplace(scfg, &mgr.stats());
+        streamer->set_augment([&churn_gen, &sv](json* snap) {
+            snap->set("churn_waves",
+                      static_cast<long long>(
+                          churn_gen.load(std::memory_order_relaxed)));
+            snap->set("target_ops_per_sec", sv.ops_per_sec);
+        });
+        if (timeline_meta.is_object()) {
+            for (const auto& [k, v] : timeline_meta.members()) {
+                header_meta.set(k, v);
+            }
+        }
+        header_meta.set("mode", std::string("serve"));
+        header_meta.set("target_ops_per_sec", sv.ops_per_sec);
+        header_meta.set("churn_period_ms", sv.churn_period_ms);
+        header_meta.set("churn_threads", sv.churn_threads);
+        header_meta.set("canary_leak_every", sv.canary_leak_every);
+        header_meta.set("threads", cfg.num_threads);
+    }
+
     ready.arrive_and_wait();
+    if (streamer) streamer->start(SMR_BENCH_SCHEMA_VERSION, header_meta);
     stopwatch timer;
     start.store(true, std::memory_order_release);
+    const bool churning = first_churner < cfg.num_threads;
     const bool needs_ticks =
-        !cfg.phases.empty() ||
+        !cfg.phases.empty() || churning ||
         (cfg.dist.kind == key_dist_kind::hotspot && cfg.dist.slide_ms > 0);
     if (!needs_ticks) {
         std::this_thread::sleep_for(std::chrono::milliseconds(cfg.trial_ms));
     } else {
-        // Control loop: 1ms clock ticks publish the current phase and
-        // slide the hotspot window; phase transitions snapshot the
-        // reclamation counters (per-phase metric harvest). Workers never
-        // read the clock.
         int last_phase = 0;
-        // Latency view of a closing phase: diff the cumulative merged
-        // summary against the previous boundary's. max_ns is reported
-        // cumulatively (a max cannot be differenced).
-        auto fill_phase_latency = [&](phase_metric& m) {
-            const lat_summary cur = merge_latency();
+        long long next_churn_ms = sv.churn_period_ms;
+        // Closes a phase occurrence: snapshot the cumulative counters, and
+        // take its latency view by diffing the merged summary against the
+        // previous boundary's. max_ns is reported cumulatively (a max
+        // cannot be differenced).
+        lat_summary prev_lat;
+        const auto close_phase = [&](long long at_ms) {
+            res.phase_metrics.push_back(workload_detail::snapshot_counters(
+                mgr.stats(), last_phase, at_ms));
+            phase_metric& m = res.phase_metrics.back();
+            lat_summary cur;
+            for (const auto& r : recorders) {
+                for (int k = 0; k < N_OP_KINDS; ++k) {
+                    cur.add(r->hist(static_cast<op_kind>(k)));
+                }
+            }
             const lat_summary d = lat_summary::delta(cur, prev_lat);
             m.lat_samples = d.count;
             m.lat_p50_ns = d.percentile(0.50);
@@ -539,27 +687,33 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
             if (elapsed_ms >= cfg.trial_ms) break;
             const int now_phase = phase_at(cfg.phases, elapsed_ms);
             if (!cfg.phases.empty() && now_phase != last_phase) {
-                res.phase_metrics.push_back(workload_detail::snapshot_counters(
-                    mgr.stats(), last_phase, elapsed_ms));
-                fill_phase_latency(res.phase_metrics.back());
+                close_phase(elapsed_ms);
                 last_phase = now_phase;
             }
             phase_idx.store(now_phase, std::memory_order_relaxed);
             dist.on_tick(elapsed_ms);
+            if (churning && elapsed_ms >= next_churn_ms) {
+                churn_gen.fetch_add(1, std::memory_order_acq_rel);
+                next_churn_ms += sv.churn_period_ms;
+            }
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         if (!cfg.phases.empty()) {
             // Close the last phase occurrence at trial end.
-            res.phase_metrics.push_back(workload_detail::snapshot_counters(
-                mgr.stats(), last_phase,
-                static_cast<long long>(timer.elapsed_seconds() * 1000.0)));
-            fill_phase_latency(res.phase_metrics.back());
+            close_phase(
+                static_cast<long long>(timer.elapsed_seconds() * 1000.0));
         }
     }
     stop.store(true, std::memory_order_release);
     done.arrive_and_wait();
     res.seconds = timer.elapsed_seconds();
     for (auto& th : threads) th.join();
+    if (streamer) {
+        // Final drain after workers quiesced (no producer is mid-emit),
+        // then disarm the trace.
+        streamer->stop();
+        obs::g_event_trace.disable();
+    }
 
     long long net = 0;
     res.phase_ops.assign(num_phases, 0);
@@ -614,20 +768,35 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
         res.latency.stalls[static_cast<std::size_t>(s)] =
             d.stall_summary(static_cast<stall_site>(s));
     }
+
+    if (streamer) {
+        res.serve.snapshots = streamer->snapshots();
+        res.serve.monitor_violations = streamer->violations();
+        res.serve.first_violation_snapshot =
+            streamer->first_violation_sample();
+        res.serve.achieved_ops_per_sec =
+            res.seconds > 0 ? res.total_ops / res.seconds : 0.0;
+        res.serve.churn_cycles = static_cast<long long>(
+            churn_gen.load(std::memory_order_relaxed));
+        res.serve.canary_leaks = canary_leaks;
+        res.serve.events_drained = streamer->events_drained();
+        res.serve.events_dropped = streamer->events_dropped();
+    }
     return res;
 }
 
-}  // namespace workload_detail
 
 /// Runs one timed trial of the paper's workload (plus optional range-query
 /// share) on an ordered_set_like structure `ds`, whose records are managed
 /// by `mgr`. Returns throughput and reclamation metrics. Thread
 /// registration goes through the manager's RAII handles; worker `t` claims
-/// tid `t` so per-thread metrics stay tid-indexed.
+/// tid `t` so per-thread metrics stay tid-indexed. `timeline_meta` only
+/// matters in serve mode (see run_timed_trial).
 template <class DS, class Mgr>
-trial_result run_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
-    return workload_detail::run_timed_trial<workload_detail::set_shape>(
-        ds, mgr, cfg);
+trial_result run_trial(DS& ds, Mgr& mgr, const workload_config& cfg,
+                       const json& timeline_meta = json::object()) {
+    return run_timed_trial<workload_detail::set_shape>(ds, mgr, cfg,
+                                                       timeline_meta);
 }
 
 /// Runs one timed trial of the push/pop workload on a stack_queue_like
@@ -635,10 +804,10 @@ trial_result run_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
 /// operation is a try_pop. The size invariant counts elements instead of
 /// keys: prefill + pushes - successful pops == final size.
 template <class DS, class Mgr>
-trial_result run_pushpop_trial(DS& ds, Mgr& mgr,
-                               const workload_config& cfg) {
-    return workload_detail::run_timed_trial<workload_detail::pushpop_shape>(
-        ds, mgr, cfg);
+trial_result run_pushpop_trial(DS& ds, Mgr& mgr, const workload_config& cfg,
+                               const json& timeline_meta = json::object()) {
+    return run_timed_trial<workload_detail::pushpop_shape>(ds, mgr, cfg,
+                                                           timeline_meta);
 }
 
 }  // namespace smr::harness

@@ -1,7 +1,7 @@
 // Tests for phased schedules (harness/schedule.h) and their integration
 // with run_trial: the pure phase_at lookup (cycling, boundaries), schedule
-// validation, and an end-to-end trial whose phases demonstrably switch the
-// operation mix.
+// validation, and end-to-end trials whose phases demonstrably switch the
+// operation mix and the think time, in closed-loop and serve mode alike.
 #include <gtest/gtest.h>
 
 #include "ds_test_util.h"
@@ -87,8 +87,13 @@ TEST(Schedule, TrialTransitionsBetweenPhases) {
 }
 
 /// A bursty phase (per-op think time) completes far fewer ops per ms than
-/// a full-speed phase of the same length.
-TEST(Schedule, PausedPhaseThrottlesThroughput) {
+/// a full-speed phase of the same length -- in both modes of the trial
+/// engine: the closed loop, and serve mode at rate 0 (unpaced, with the
+/// trace and streamer armed). Both must also record one phase_metrics
+/// entry per phase boundary (the transition and the trial end).
+class PausedPhase : public testing::TestWithParam<bool> {};
+
+TEST_P(PausedPhase, ThrottlesThroughput) {
     using mgr_t = testutil::list_mgr<reclaim::reclaim_debra>;
     mgr_t mgr(1, testutil::fast_config<mgr_t>());
     ds::harris_list<key_t, val_t, mgr_t> list(mgr);
@@ -98,15 +103,26 @@ TEST(Schedule, PausedPhaseThrottlesThroughput) {
     cfg.key_range = 64;
     cfg.trial_ms = 120;
     cfg.phases = {{"burst", 25, 25, 60, 0}, {"quiet", 25, 25, 60, 1000}};
+    cfg.serve.enabled = GetParam();
+    cfg.serve.ops_per_sec = 0;
 
     const auto res = harness::run_trial(list, mgr, cfg);
+    EXPECT_EQ(res.serve.ran, GetParam());
     ASSERT_EQ(res.phase_ops.size(), 2u);
     // 1ms of sleep per op caps the quiet phase near 60 ops; the burst
     // phase does orders of magnitude more. 10x is a safe floor.
     EXPECT_GT(res.phase_ops[0], 10 * res.phase_ops[1]);
     EXPECT_GT(res.phase_ops[1], 0);
+    ASSERT_EQ(res.phase_metrics.size(), 2u);
+    EXPECT_EQ(res.phase_metrics[0].phase, 0);
+    EXPECT_EQ(res.phase_metrics[1].phase, 1);
     EXPECT_TRUE(res.size_invariant_holds());
 }
+
+INSTANTIATE_TEST_SUITE_P(Schedule, PausedPhase, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                             return info.param ? "ServeRate0" : "ClosedLoop";
+                         });
 
 /// Phase-less configs keep the old contract: one aggregate bucket.
 /// (DEBRA, not 'none': the latter leaks retired records by design and

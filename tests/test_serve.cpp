@@ -1,7 +1,8 @@
 // Tests for the sustained-service soak machinery: the invariant monitor's
 // sliding-window growth rule (src/obs/snapshot.h), the snapshot streamer's
-// JSONL timeline, and short end-to-end run_serve_trial_set runs covering
-// pacing, registration churn, and the leak canary (src/harness/serve.h).
+// JSONL timeline, and short end-to-end serve-mode run_trial runs covering
+// pacing, registration churn, and the leak canary (serve_config in
+// src/harness/workload.h).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "harness/report.h"
-#include "harness/serve.h"
+#include "harness/workload.h"
 #include "obs/event_ring.h"
 #include "obs/snapshot.h"
 #include "util/debug_stats.h"
@@ -288,8 +289,7 @@ TEST(ServeTrial, PacedSoakWithChurnProducesValidTimeline) {
     json meta = json::object();
     meta.set("ds", std::string("ellen_bst"));
     meta.set("scheme", std::string("debra"));
-    const auto res = harness::run_serve_trial_set(
-        bst, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION, meta);
+    const auto res = harness::run_trial(bst, mgr, cfg, meta);
 
     EXPECT_TRUE(res.serve.ran);
     EXPECT_GT(res.total_ops, 0);
@@ -352,8 +352,7 @@ TEST(ServeTrial, CanaryLeakTripsTheMonitor) {
     cfg.serve.monitor_consecutive = 2;
     cfg.serve.monitor_warmup = 1;
 
-    const auto res = harness::run_serve_trial_set(
-        bst, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION);
+    const auto res = harness::run_trial(bst, mgr, cfg);
 
     EXPECT_TRUE(res.serve.ran);
     EXPECT_GT(res.serve.canary_leaks, 0);
@@ -371,8 +370,7 @@ TEST(ServeTrial, UnpacedZeroRateDegeneratesToClosedLoop) {
 
     harness::workload_config cfg = base_serve_config(150);
     cfg.serve.ops_per_sec = 0;  // unpaced: run flat out, still sampled
-    const auto res = harness::run_serve_trial_set(
-        bst, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION);
+    const auto res = harness::run_trial(bst, mgr, cfg);
 
     EXPECT_TRUE(res.serve.ran);
     EXPECT_GT(res.total_ops, 0);
