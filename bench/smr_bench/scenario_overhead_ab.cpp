@@ -4,7 +4,7 @@
 // (run_timed_trial), on one prefilled 64Ki-key ellen_bst:
 //
 //   guard_overhead      the RAII guard layer vs a faithful raw-API replica
-//                       of the BST search hot path, contains-only, per
+//                       of the BST find hot path, contains-only, per
 //                       scheme (DEBRA: the guards must erase entirely; HP:
 //                       the guard destructor replaces the hand-written
 //                       unprotect);
@@ -42,10 +42,10 @@ using harness::paired_ab_result;
 using harness::workload_config;
 using harness::workload_detail::per_thread;
 
-/// The raw-API replica of the seed's ellen_bst::find hot path, kept
-/// faithful to the pre-redesign code line by line: clear_protections at
-/// every search start, the hand-over-hand gp/p/l protect/unprotect chain
-/// with update-word bookkeeping, and the Figure-5 finish sequence
+/// The raw-API replica of ellen_bst::find's hot path: the same flat
+/// hand-over-hand descent (protect the child validated against the held
+/// parent, then unprotect the parent), written against mgr.protect /
+/// mgr.unprotect instead of guard_ptr, with the Figure-5 finish sequence
 /// (clear_protections; enter_qstate; runprotect_all).
 template <class Mgr, class Tree>
 bool raw_contains(Mgr& mgr, int tid, Tree& tree, const key_t& key) {
@@ -57,45 +57,36 @@ bool raw_contains(Mgr& mgr, int tid, Tree& tree, const key_t& key) {
         [&](int t) {
             mgr.leave_qstate(t);
             for (;;) {
-                // -- the seed's search() --
-                mgr.clear_protections(t);
-                node_t* gp = nullptr;
-                node_t* p = nullptr;
-                std::uintptr_t gpupdate = sp::pack(nullptr, ds::BST_CLEAN, 0);
-                std::uintptr_t pupdate = sp::pack(nullptr, ds::BST_CLEAN, 0);
-                node_t* l = tree.root();
-                mgr.protect(t, l);  // root is never retired
+                node_t* n = tree.root();
+                mgr.protect(t, n);  // root is never retired
                 bool restart = false;
-                while (!l->is_leaf()) {
-                    if (gp != nullptr) mgr.unprotect(t, gp);
-                    gp = p;
-                    p = l;
-                    gpupdate = pupdate;
-                    pupdate = p->update.load(std::memory_order_acquire);
+                for (;;) {
                     std::atomic<node_t*>* link =
-                        (l->inf != 0 || key < l->key) ? &l->left : &l->right;
+                        (n->inf != 0 || key < n->key) ? &n->left : &n->right;
                     node_t* child = link->load(std::memory_order_acquire);
-                    node_t* parent = l;
-                    if (!mgr.protect(t, child, [&] {
-                            const std::uintptr_t u = parent->update.load(
-                                std::memory_order_seq_cst);
-                            return sp::state(u) != ds::BST_MARK &&
-                                   link->load(std::memory_order_seq_cst) ==
-                                       child;
-                        })) {
+                    if (child == nullptr) break;  // n is the leaf
+                    node_t* parent = n;
+                    const bool ok = mgr.protect(t, child, [&] {
+                        const std::uintptr_t u =
+                            parent->update.load(std::memory_order_seq_cst);
+                        return sp::state(u) != ds::BST_MARK &&
+                               link->load(std::memory_order_seq_cst) == child;
+                    });
+                    mgr.unprotect(t, parent);
+                    if (!ok) {
                         restart = true;
                         break;
                     }
-                    l = child;
+                    n = child;
                 }
-                (void)gpupdate;
                 if (restart) {
                     mgr.stats().add(t, stat::op_restarts);
                     continue;
                 }
-                result = (l->inf == 0 && l->key == key)
-                             ? std::optional<val_t>(l->value)
+                result = (n->inf == 0 && n->key == key)
+                             ? std::optional<val_t>(n->value)
                              : std::nullopt;
+                mgr.unprotect(t, n);
                 break;
             }
             mgr.clear_protections(t);
@@ -226,7 +217,7 @@ using debra_bst_mgr =
 int run_guard_overhead(const scenario& sc, const harness::bench_config& cfg,
                        harness::json* doc) {
     ab_setup ab(cfg);
-    std::printf("guard_overhead: guard layer vs raw API, BST search hot "
+    std::printf("guard_overhead: guard layer vs raw API, BST find hot "
                 "path (%lld keys, %d ms x %d trials, threshold %d%%)\n",
                 KEY_RANGE, cfg.trial_ms, ab.trials, ab.threshold);
     const paired_ab_result debra = guard_ab<reclaim::reclaim_debra>(cfg, ab);

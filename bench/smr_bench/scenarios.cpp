@@ -382,7 +382,7 @@ std::vector<scenario> build_registry() {
         scenario s;
         s.name = "guard_overhead";
         s.summary = "A/B: the RAII guard layer against a faithful raw-API "
-                    "replica of the BST search hot path (PASS when the "
+                    "replica of the BST find hot path (PASS when the "
                     "median paired delta is within the threshold)";
         s.paper_ref = "beyond the paper (PR 2); zero-cost-guards claim";
         s.custom = run_guard_overhead;

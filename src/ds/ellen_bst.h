@@ -143,7 +143,20 @@ class ellen_bst {
     // ---- queries -----------------------------------------------------------
 
     /// Returns the value stored for `key`, if present. Never helps, never
-    /// writes shared memory (paper Figure 3 search shape).
+    /// writes shared memory.
+    ///
+    /// Shape: a flat hand-over-hand descent, not the EFRB search (which
+    /// insert/erase need for gp, p and both update words). From the root
+    /// (never retired, so protected without validation), each hop loads
+    /// the routed child link of the protected node n. A null link means n
+    /// is the leaf: compare its key and return. Otherwise the child is
+    /// protected and validated against n -- n still unmarked (hence
+    /// unretired, hence in the tree) and the link still naming the child
+    /// -- before anything reads it, and only then is n's guard dropped by
+    /// moving the child's guard over it. So every dereferenced node was
+    /// validated while its parent was held, at most two hazards are live,
+    /// and a failed validation restarts from the root. Epoch schemes
+    /// compile the guards away.
     ///
     /// Like every operation, the non-quiescent traversal runs inside
     /// run_guarded: under DEBRA+ a neutralization signal may interrupt
@@ -154,16 +167,8 @@ class ellen_bst {
         std::optional<V> result;
         acc.run_guarded(
             [&] {
-                for (;;) {
-                    search_result s;
-                    if (!search(acc, key, s)) {
-                        acc.note(stat::op_restarts);
-                        continue;
-                    }
-                    result = is_key(s.l, key)
-                                 ? std::optional<V>(s.l->value)
-                                 : std::nullopt;
-                    break;
+                while (!descend(acc, key, result)) {
+                    acc.note(stat::op_restarts);
                 }
                 return true;
             },
@@ -421,6 +426,32 @@ class ellen_bst {
     }
 
     // ---- search -----------------------------------------------------------------
+
+    /// find's descent (see find). Returns false when a hazard validation
+    /// failed and the caller must restart; epoch schemes always succeed.
+    bool descend(accessor_t acc, const K& key, std::optional<V>& result) {
+        node_t* n = root_;
+        node_guard n_g = acc.protect(n);  // the root is never retired
+        for (;;) {
+            std::atomic<node_t*>* link =
+                key_less(key, n) ? &n->left : &n->right;
+            node_t* child = link->load(std::memory_order_acquire);
+            if (child == nullptr) {  // leaves have no children
+                result = is_key(n, key) ? std::optional<V>(n->value)
+                                        : std::nullopt;
+                return true;
+            }
+            node_guard c_g = acc.protect(child, [&] {
+                const std::uintptr_t u =
+                    n->update.load(std::memory_order_seq_cst);
+                return sp::state(u) != BST_MARK &&
+                       link->load(std::memory_order_seq_cst) == child;
+            });
+            if (!c_g) return false;
+            n_g = std::move(c_g);  // releases n
+            n = child;
+        }
+    }
 
     /// gp/p/l plus the guards keeping them safe for per-access schemes
     /// (empty and free for epoch schemes). Guards die with the result.

@@ -164,6 +164,10 @@ class he_global {
     bool is_protected(int tid, const void* p) const noexcept {
         return locals_[tid]->find(p) != nullptr;
     }
+    /// Distinct records `tid` currently holds protected (tests).
+    std::size_t live_entries(int tid) const noexcept {
+        return locals_[tid]->entries.size();
+    }
 
     // HE provides no crash-recovery interface (as HPs: RProtect et al. are
     // inert).
@@ -227,14 +231,18 @@ class he_global {
         std::array<std::uint64_t, K> slot_eras{};  // owner's view of slots_
         std::array<int, K> slot_refs{};            // entries per slot
 
+        /// Searches from the newest entry: callers release what they
+        /// protected recently (a hand-over-hand descent holds two entries,
+        /// a windowed scan releases a node right after admitting its
+        /// children), while the front holds the oldest pending frontier.
         entry* find(const void* p) noexcept {
-            for (auto& e : entries)
-                if (e.p == p) return &e;
+            for (auto it = entries.rbegin(); it != entries.rend(); ++it)
+                if (it->p == p) return &*it;
             return nullptr;
         }
         const entry* find(const void* p) const noexcept {
-            for (const auto& e : entries)
-                if (e.p == p) return &e;
+            for (auto it = entries.rbegin(); it != entries.rend(); ++it)
+                if (it->p == p) return &*it;
             return nullptr;
         }
         int find_slot(std::uint64_t era) const noexcept {

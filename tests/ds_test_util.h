@@ -1,10 +1,14 @@
 // ds_test_util.h -- shared fixtures for the data structure tests: manager
-// typedefs per reclamation scheme and a reference-model checker.
+// typedefs per reclamation scheme, a reference-model checker, and an HP
+// scheme that counts its live hazards (protection-window tests).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "ds/ellen_bst.h"
 #include "ds/harris_list.h"
@@ -56,6 +60,44 @@ using bst_mgr =
 template <class Scheme>
 using skip_mgr = record_manager<Scheme, alloc_malloc, pool_shared,
                                 ds::skiplist_node<key_t, val_t>>;
+
+// ---- protection-window probes ----------------------------------------------
+
+/// HP global state that also tracks the thread's live protections
+/// (successful protects minus unprotects) and their peak. Single-threaded
+/// use only.
+class peak_hp_global : public reclaim::detail::hp_global {
+  public:
+    using hp_global::hp_global;
+
+    template <class ValidateFn>
+    bool protect(int tid, const void* p, ValidateFn&& validate) {
+        const bool ok =
+            hp_global::protect(tid, p, std::forward<ValidateFn>(validate));
+        if (ok) peak = std::max(peak, ++live);
+        return ok;
+    }
+    void unprotect(int tid, const void* p) noexcept {
+        hp_global::unprotect(tid, p);
+        --live;
+    }
+
+    int live = 0;
+    int peak = 0;
+};
+
+struct peak_hp : reclaim::reclaim_hp {
+    using global_state = peak_hp_global;
+};
+
+/// Internal-node levels from n down to its deepest leaf (single-threaded).
+template <class Node>
+int tree_height(const Node* n) {
+    const Node* l = n->left.load(std::memory_order_relaxed);
+    if (l == nullptr) return 0;
+    return 1 + std::max(tree_height(l),
+                        tree_height(n->right.load(std::memory_order_relaxed)));
+}
 
 /// Randomized differential test of any set implementation against
 /// std::map, single-threaded, through an accessor minted from a live

@@ -167,5 +167,42 @@ TYPED_TEST(EllenBstTyped, NegativeAndExtremeKeys) {
     EXPECT_EQ(this->bst_.find(this->acc(), -(1LL << 60)), std::optional<val_t>(4));
 }
 
+// ---- find's protection window under HP --------------------------------------
+
+TEST(EllenBstFindWindow, FindHoldsAtMostTwoHazards) {
+    // find descends hand over hand: the child is protected and validated
+    // while its parent is still held, then the parent is dropped. The
+    // EFRB search insert/erase use holds gp, p and l (three).
+    using mgr_t = testutil::bst_mgr<testutil::peak_hp>;
+    mgr_t mgr(1, testutil::fast_config<mgr_t>());
+    ds::ellen_bst<key_t, val_t, mgr_t> bst(mgr);
+    auto handle = mgr.register_thread();
+    auto acc = mgr.access(handle);
+
+    constexpr key_t KEYS = 10000;
+    prng rng(11);
+    for (long long size = 0; size < KEYS / 2;) {
+        const key_t k = static_cast<key_t>(rng.next(KEYS));
+        if (bst.insert(acc, k, k * 3)) ++size;
+    }
+    ASSERT_EQ(bst.size_slow(), KEYS / 2);
+    ASSERT_GT(testutil::tree_height(bst.root()), 2);
+
+    mgr.global().live = 0;
+    mgr.global().peak = 0;
+    long long found = 0;
+    for (key_t k = 0; k < KEYS; ++k) {
+        const auto v = bst.find(acc, k);
+        if (v.has_value()) {
+            EXPECT_EQ(*v, k * 3);
+            ++found;
+        }
+    }
+    EXPECT_EQ(found, KEYS / 2);
+    EXPECT_LE(mgr.global().peak, 2);
+    EXPECT_EQ(mgr.global().live, 0);
+    EXPECT_EQ(mgr.live_guard_count(handle.tid()), 0);
+}
+
 }  // namespace
 }  // namespace smr

@@ -4,6 +4,7 @@
 // plus the bounded-limbo property both schemes were added for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -151,6 +152,45 @@ TEST(ReclaimEra, HeNestedProtectsPairWithUnprotects) {
     mgr.unprotect(0, r);
     EXPECT_FALSE(mgr.is_protected(0, r));
     mgr.deallocate<rec>(0, r);
+    mgr.deinit_thread(0);
+}
+
+TEST(ReclaimEra, HeHandOverHandKeepsTwoEntries) {
+    // A hand-over-hand traversal protects the next record, then releases
+    // the one it held: the entry list stays at two whatever the length of
+    // the walk, and unprotect releases exactly the record it names. Retires
+    // advance the era (era_freq = 1), so protects alternate between the
+    // alias path and publishing into a fresh slot.
+    mgr_he mgr(1, tight_config<mgr_he>());
+    mgr.init_thread(0);
+    constexpr int RECS = 16;
+    constexpr int STEPS = 10000;
+    std::vector<rec*> recs;
+    for (int i = 0; i < RECS; ++i) recs.push_back(mgr.new_record<rec>(0));
+
+    rec* held = recs[0];
+    ASSERT_TRUE(mgr.protect(0, held));
+    std::size_t max_entries = mgr.global().live_entries(0);
+    int inexact = 0;
+    for (int i = 1; i <= STEPS; ++i) {
+        rec* next = recs[static_cast<std::size_t>(i % RECS)];
+        ASSERT_TRUE(mgr.protect(0, next));
+        max_entries = std::max(max_entries, mgr.global().live_entries(0));
+        for (rec* r : recs) {
+            if (mgr.is_protected(0, r) != (r == held || r == next)) ++inexact;
+        }
+        mgr.unprotect(0, held);
+        for (rec* r : recs) {
+            if (mgr.is_protected(0, r) != (r == next)) ++inexact;
+        }
+        held = next;
+        if (i % 7 == 0) mgr.retire<rec>(0, mgr.new_record<rec>(0));
+    }
+    EXPECT_LE(max_entries, 2u);
+    EXPECT_EQ(inexact, 0);
+    mgr.unprotect(0, held);
+    EXPECT_EQ(mgr.global().live_entries(0), 0u);
+    for (rec* r : recs) mgr.deallocate<rec>(0, r);
     mgr.deinit_thread(0);
 }
 

@@ -307,43 +307,8 @@ TYPED_TEST(RangeQueryTyped, HashMapChurnScan) {
 
 // ---- the ellen_bst scan's protection window under HP ----------------------
 
-/// HP global state that also tracks the thread's live protections
-/// (successful protects minus unprotects) and their peak. Single-threaded
-/// use only.
-class peak_hp_global : public reclaim::detail::hp_global {
-  public:
-    using hp_global::hp_global;
-
-    template <class ValidateFn>
-    bool protect(int tid, const void* p, ValidateFn&& validate) {
-        const bool ok =
-            hp_global::protect(tid, p, std::forward<ValidateFn>(validate));
-        if (ok) peak = std::max(peak, ++live);
-        return ok;
-    }
-    void unprotect(int tid, const void* p) noexcept {
-        hp_global::unprotect(tid, p);
-        --live;
-    }
-
-    int live = 0;
-    int peak = 0;
-};
-
-struct peak_hp : reclaim::reclaim_hp {
-    using global_state = peak_hp_global;
-};
-
-template <class Node>
-int tree_height(const Node* n) {
-    const Node* l = n->left.load(std::memory_order_relaxed);
-    if (l == nullptr) return 0;
-    return 1 + std::max(tree_height(l),
-                        tree_height(n->right.load(std::memory_order_relaxed)));
-}
-
 TEST(EllenBstScanWindow, FullScanHoldsOnlyTheFrontier) {
-    using mgr_t = testutil::bst_mgr<peak_hp>;
+    using mgr_t = testutil::bst_mgr<testutil::peak_hp>;
     mgr_t mgr(1, fast_config<mgr_t>());
     const std::size_t base_hazards = mgr.global().max_hazards();
     ds::ellen_bst<key_t, val_t, mgr_t> bst(mgr);
@@ -359,7 +324,7 @@ TEST(EllenBstScanWindow, FullScanHoldsOnlyTheFrontier) {
     }
     const long long size = bst.size_slow();
     ASSERT_EQ(size, KEYS / 2);
-    const int height = tree_height(bst.root());
+    const int height = testutil::tree_height(bst.root());
 
     mgr.global().live = 0;
     mgr.global().peak = 0;

@@ -7,10 +7,14 @@
 //    but not DEBRA+ (neutralization) -- the Figure 9 phenomenon;
 //  * HP-protected traversals never observe recycled nodes;
 //  * DEBRA+ neutralization fires during live BST operations and the tree
-//    stays consistent.
+//    stays consistent;
+//  * under every reclaiming scheme, ellen_bst readers see exact values for
+//    keys that are never erased and never see keys that were never
+//    inserted while writers churn the keys between them.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -248,6 +252,96 @@ TEST(ReclamationSafety, HpBstOwnDescriptorSurvivesHelping) {
     EXPECT_EQ(bst.size_slow(), net.load());
     EXPECT_TRUE(bst.validate_structure());
     EXPECT_GT(mgr.stats().total(stat::records_pooled), 0u);
+}
+
+// ---- reader oracle: find under churn, every reclaiming scheme -------------
+
+template <class Scheme>
+class EllenBstReaderOracle : public ::testing::Test {};
+
+// 'none' is left out: it leaks every retired record by design, which
+// LeakSanitizer reports.
+using ReclaimingSchemes =
+    ::testing::Types<reclaim::reclaim_debra, reclaim::reclaim_ebr,
+                     reclaim::reclaim_debra_plus, reclaim::reclaim_hp,
+                     reclaim::reclaim_he, reclaim::reclaim_ibr>;
+TYPED_TEST_SUITE(EllenBstReaderOracle, ReclaimingSchemes);
+
+TYPED_TEST(EllenBstReaderOracle, FindSeesStableKeysAndNeverPhantoms) {
+    // Key classes mod 4: 0 = stable (inserted before the churn, never
+    // erased), 1 = churned by the writers, 2 = never inserted. A reader
+    // that followed a recycled node would land on a wrong leaf: a stable
+    // key reported absent or with a foreign value, or a phantom key found.
+    // Under DEBRA+ neutralization can interrupt a reader mid-find.
+    using mgr_t = testutil::bst_mgr<TypeParam>;
+    constexpr int WRITERS = 2;
+    constexpr int READERS = 2;
+    // keys [0, 4 * QUARTERS): a small tree, like BstStress's, so a find
+    // stays short next to DEBRA+'s neutralization rate under TSan.
+    constexpr key_t QUARTERS = 16;
+    mgr_t mgr(WRITERS + READERS, testutil::fast_config<mgr_t>());
+    ds::ellen_bst<key_t, val_t, mgr_t> bst(mgr);
+    {
+        auto handle = mgr.register_thread(0);
+        auto acc = mgr.access(handle);
+        // 7 is coprime to QUARTERS: every stable key once, in an order
+        // that keeps the tree shallower than ascending inserts would.
+        for (key_t i = 0; i < QUARTERS; ++i) {
+            const key_t k = 4 * ((i * 7) % QUARTERS);
+            ASSERT_TRUE(bst.insert(acc, k, k * 3));
+        }
+    }
+
+    std::atomic<bool> stop{false};
+    std::atomic<long long> net{0};
+    std::atomic<long long> reads{0};
+    std::atomic<long long> wrong_stable{0};
+    std::atomic<long long> phantoms{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < WRITERS; ++t) {
+        workers.emplace_back([&, t] {
+            auto handle = mgr.register_thread(t);
+            auto acc = mgr.access(handle);
+            prng rng(31 + static_cast<std::uint64_t>(t));
+            long long mine = 0;
+            while (!stop.load(std::memory_order_acquire)) {
+                const key_t k = 4 * static_cast<key_t>(rng.next(QUARTERS)) + 1;
+                if (rng.chance_percent(50)) {
+                    if (bst.insert(acc, k, k * 3)) ++mine;
+                } else {
+                    if (bst.erase(acc, k).has_value()) --mine;
+                }
+            }
+            net.fetch_add(mine);
+        });
+    }
+    for (int t = WRITERS; t < WRITERS + READERS; ++t) {
+        workers.emplace_back([&, t] {
+            auto handle = mgr.register_thread(t);
+            auto acc = mgr.access(handle);
+            prng rng(57 + static_cast<std::uint64_t>(t));
+            long long mine = 0;
+            while (!stop.load(std::memory_order_acquire)) {
+                const key_t q = 4 * static_cast<key_t>(rng.next(QUARTERS));
+                const auto stable = bst.find(acc, q);
+                if (!stable.has_value() || *stable != q * 3) {
+                    wrong_stable.fetch_add(1);
+                }
+                if (bst.find(acc, q + 2).has_value()) phantoms.fetch_add(1);
+                mine += 2;
+            }
+            reads.fetch_add(mine);
+        });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    stop.store(true, std::memory_order_release);
+    for (auto& w : workers) w.join();
+
+    EXPECT_GT(reads.load(), 0);
+    EXPECT_EQ(wrong_stable.load(), 0);
+    EXPECT_EQ(phantoms.load(), 0);
+    EXPECT_EQ(bst.size_slow(), QUARTERS + net.load());
+    EXPECT_TRUE(bst.validate_structure());
 }
 
 TEST(ReclamationSafety, SchemeSwapIsOneTypeAlias) {
