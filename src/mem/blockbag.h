@@ -78,8 +78,8 @@ class blockbag {
     }
 
     /// O(1) unhook + O(chain) tail walk: detaches every full block (all
-    /// blocks except the head) and returns them as a chain. Used by DEBRA's
-    /// rotateAndReclaim to hand an entire epoch's retirees to the pool.
+    /// blocks except the head) and returns them as a chain. Used by the
+    /// epoch limbo rotation to hand an entire epoch's retirees to the pool.
     chain_t take_full_blocks() noexcept {
         chain_t c;
         c.head = head_->next_relaxed();
@@ -112,7 +112,7 @@ class blockbag {
         return b;
     }
 
-    // ---- iteration & partition support (DEBRA+ rotate scan) -------------
+    // ---- iteration & the partition pass (scanning reclaimers) -----------
 
     /// Forward iterator over records. Also records its block ordinal so the
     /// bag can compute, in O(1), how many blocks lie strictly after it.
@@ -167,8 +167,8 @@ class blockbag {
 
     /// Detaches all blocks strictly after the block `it` points into and
     /// returns them as a chain. With `it` positioned one past the last
-    /// protected record (after the DEBRA+ partition pass), every record in
-    /// the returned chain is safe to reclaim. When `it == end()` nothing is
+    /// kept record (see take_unkept_blocks), every record in the returned
+    /// chain is safe to reclaim. When `it == end()` nothing is
     /// detached. O(chain) for the tail walk the consumer needs anyway.
     chain_t take_blocks_after(const iterator& it) noexcept {
         chain_t c;
@@ -182,6 +182,25 @@ class blockbag {
         c.tail = c.head;
         while (c.tail->next_relaxed() != nullptr) c.tail = c.tail->next_relaxed();
         return c;
+    }
+
+    /// The partition pass of every scanning reclaimer (the HP, HE and IBR
+    /// retire scans and DEBRA+'s rotation): moves each record `keep`
+    /// accepts to the front of the bag, then detaches and returns every
+    /// full block after the last kept record. Kept records stay in the bag;
+    /// every record in the returned chain was rejected by `keep`. O(size).
+    template <class Keep>
+    chain_t take_unkept_blocks(Keep&& keep) {
+        iterator kept = begin();
+        for (iterator it = begin(), e = end(); it != e; ++it) {
+            if (keep(*it)) {
+                swap_entries(it, kept);
+                ++kept;
+            }
+        }
+        // With nothing kept, `kept` still points *into* the first non-empty
+        // block; shed every full block then rather than sparing one.
+        return kept == begin() ? take_full_blocks() : take_blocks_after(kept);
     }
 
   private:

@@ -11,7 +11,7 @@
 //     contains e, so consecutive protects in the same era alias the same
 //     slot and cost no store and no fence at all -- the main throughput win
 //     over classic HPs, which pay a full fence per protect;
-//   * retired records collect in per-thread era_limbo bags; at
+//   * retired records collect in per-thread scan_limbo bags; at
 //     2nK + slack records the thread snapshots all nK slots and frees every
 //     record whose interval no published era hits (O(log nK) per record via
 //     a sorted snapshot). Same bounded-limbo guarantee as HPs.
@@ -35,6 +35,7 @@
 #include "../../mem/block_pool.h"
 #include "../../util/debug_stats.h"
 #include "../../util/padded.h"
+#include "../limbo_bags.h"
 #include "era_core.h"
 
 namespace smr::reclaim {
@@ -190,8 +191,8 @@ class he_global {
 
     // ---- scanner side -----------------------------------------------------
 
-    /// Sorted snapshot of every published era; covers() is a binary search
-    /// for any reservation inside [birth, retire].
+    /// Sorted snapshot of every published era; covers(rec) is a binary
+    /// search for any reservation inside [birth_era, retire_era].
     class snapshot_t {
       public:
         void collect(const he_global& g) {
@@ -204,15 +205,19 @@ class he_global {
             }
             std::sort(eras_.begin(), eras_.end());
         }
-        bool covers(std::uint64_t birth, std::uint64_t retire) const noexcept {
+        template <class Rec>
+        bool covers(const Rec* rec) const noexcept {
             const auto it =
-                std::lower_bound(eras_.begin(), eras_.end(), birth);
-            return it != eras_.end() && *it <= retire;
+                std::lower_bound(eras_.begin(), eras_.end(), rec->birth_era);
+            return it != eras_.end() && *it <= rec->retire_era;
         }
 
       private:
         std::vector<std::uint64_t> eras_;
     };
+
+    /// The counter each scan of this scheme bumps.
+    static constexpr stat scan_stat = stat::era_scans;
 
     long long scan_threshold_records() const noexcept {
         return 2LL * num_threads_ * K + cfg_.scan_slack_records;
@@ -293,7 +298,7 @@ struct reclaim_he {
     using stored = era_record<T>;
 
     template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
-    using per_type = era_limbo<T, Pool, B, global_state>;
+    using per_type = scan_limbo<T, Pool, B, global_state>;
 };
 
 }  // namespace smr::reclaim

@@ -109,12 +109,7 @@ struct reclaim_ebr {
     }
 
     template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
-    class per_type : public limbo_bags<T, Pool, B> {
-      public:
-        per_type(int num_threads, global_state&, Pool& pool,
-                 mem::block_pool_array<T, B>& bpools, debug_stats* stats)
-            : limbo_bags<T, Pool, B>(num_threads, pool, bpools, stats) {}
-    };
+    using per_type = reclaim_debra::per_type<T, Pool, B>;
 };
 
 }  // namespace smr::reclaim

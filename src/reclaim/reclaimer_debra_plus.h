@@ -17,7 +17,9 @@
 //     rotateAndReclaim hashes every thread's RProtected announcements,
 //     partitions the limbo bag so protected records sit at the front, and
 //     moves only the full blocks after the partition point to the pool --
-//     expected amortized O(1) per record.
+//     expected amortized O(1) per record. The rotation step is
+//     limbo_bags::rotate and the partition is blockbag::take_unkept_blocks,
+//     the same pass the HP/HE/IBR scans use.
 //
 // Bound: with everything stalled-but-signalable, at most O(n * (c + nm))
 // records wait in limbo bags (paper Section 5, "Complexity").
@@ -247,13 +249,7 @@ struct reclaim_debra_plus {
         /// enough, partition RProtected records to the front and free every
         /// full block after the partition point.
         void rotate_and_reclaim(int tid) {
-            auto& st = *this->states_[tid];
-            st.index = (st.index + 1) % 3;
-            if (this->stats_) this->stats_->add(tid, stat::rotations);
-            auto& bag = st.current();
-            obs::trace_emit(
-                tid, obs::trace_event::limbo_rotation,
-                static_cast<std::uint64_t>(bag.size_in_blocks()));
+            auto& bag = this->rotate(tid);
             if (bag.size_in_blocks() < global_.cfg().scan_threshold_blocks)
                 return;  // defer: records simply wait one more rotation
 
@@ -267,25 +263,9 @@ struct reclaim_debra_plus {
             mem::ptr_hashset& scan_set = *scan_sets_[tid];
             scan_set.clear();
             global_.collect_rprotected(scan_set);
-
-            auto it1 = bag.begin();
-            auto it2 = bag.begin();
-            const auto end = bag.end();
-            while (it1 != end) {
-                if (scan_set.contains(*it1)) {
-                    swap_entries(it1, it2);
-                    ++it2;
-                }
-                ++it1;
-            }
-            // it2 is one past the last protected record. When nothing was
-            // protected it still points *into* the first non-empty block;
-            // shed every full block in that case rather than sparing one.
-            if (it2 == bag.begin()) {
-                this->pool_.accept_chain(tid, bag.take_full_blocks());
-            } else {
-                this->pool_.accept_chain(tid, bag.take_blocks_after(it2));
-            }
+            this->pool_.accept_chain(tid, bag.take_unkept_blocks([&](T* p) {
+                return scan_set.contains(p);
+            }));
         }
 
       private:

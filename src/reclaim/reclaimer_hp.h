@@ -10,12 +10,13 @@
 // traverse retired-to-retired pointers; we reproduce the practical
 // restart-on-suspicion behaviour the paper measures.
 //
-// Retired records collect in per-thread bags; when a bag reaches
-// 2nK + O(B) records, the thread hashes all nK hazard slots (O(1) expected
+// Retired records collect in per-thread scan_limbo bags (limbo_bags.h, shared
+// with Hazard Eras and IBR); when a bag reaches 2nK + O(B) records, the
+// thread hashes all nK hazard slots into its snapshot_t (O(1) expected
 // membership tests) and frees every unprotected record -- at least half the
 // bag -- giving O(1) expected amortized retirement (Section 3, "Hazard
-// Pointers"). The scan reuses the same partition-then-move-full-blocks trick
-// as DEBRA+'s rotate so reclamation still moves whole blocks.
+// Pointers"). The scan's partition pass is blockbag::take_unkept_blocks, the
+// same one DEBRA+'s rotation uses, so reclamation still moves whole blocks.
 //
 // Slot bookkeeping is O(1) per protection for the patterns the data
 // structures use. Each thread's slots form one flat index space over its
@@ -36,7 +37,6 @@
 #include <array>
 #include <atomic>
 #include <cassert>
-#include <memory>
 #include <vector>
 
 #include "../mem/block_pool.h"
@@ -44,6 +44,7 @@
 #include "../obs/event_ring.h"
 #include "../util/debug_stats.h"
 #include "../util/padded.h"
+#include "limbo_bags.h"
 
 namespace smr::reclaim {
 
@@ -176,6 +177,29 @@ class hp_global {
         return static_cast<std::size_t>(
             total_slots_.load(std::memory_order_relaxed));
     }
+
+    /// Hash set of every announced hazard; covers(rec) is an O(1) expected
+    /// membership test.
+    class snapshot_t {
+      public:
+        void collect(const hp_global& g) {
+            // Slot chains may have grown since the last scan (guard_span);
+            // re-size the set to the current capacity before collecting.
+            set_.reserve(g.max_hazards());
+            set_.clear();
+            g.collect_hazards(set_);
+        }
+        bool covers(const void* rec) const noexcept {
+            return set_.contains(rec);
+        }
+
+      private:
+        mem::ptr_hashset set_{0};
+    };
+
+    /// The counter each scan of this scheme bumps.
+    static constexpr stat scan_stat = stat::hp_scans;
+
     /// Scan when the bag reaches twice the *current* slot capacity plus
     /// slack, preserving the at-least-half-the-bag amortization even after
     /// spans grew the slot chains.
@@ -291,88 +315,7 @@ struct reclaim_hp {
     using global_state = detail::hp_global;
 
     template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
-    class per_type {
-      public:
-        per_type(int num_threads, global_state& global, Pool& pool,
-                 mem::block_pool_array<T, B>& bpools, debug_stats* stats)
-            : num_threads_(num_threads), global_(global), pool_(pool),
-              stats_(stats) {
-            states_.reserve(static_cast<std::size_t>(num_threads));
-            for (int t = 0; t < num_threads; ++t)
-                states_.push_back(std::make_unique<tstate>(
-                    bpools[t], global.max_hazards()));
-        }
-
-        per_type(const per_type&) = delete;
-        per_type& operator=(const per_type&) = delete;
-
-        ~per_type() {
-            for (int t = 0; t < num_threads_; ++t) {
-                while (T* p = states_[t]->bag.remove()) pool_.release(t, p);
-            }
-        }
-
-        void retire(int tid, T* p) {
-            if (stats_) stats_->add(tid, stat::records_retired);
-            tstate& st = *states_[tid];
-            st.bag.add(p);
-            if (st.bag.size() >= global_.scan_threshold_records()) scan(tid);
-        }
-
-        /// HPs reclaim from retire(); the manager-level rotation hook is a
-        /// no-op.
-        void rotate_and_reclaim(int) noexcept {}
-        int current_bag_blocks(int tid) const {
-            return states_[tid]->bag.size_in_blocks();
-        }
-        long long limbo_size(int tid) const { return states_[tid]->bag.size(); }
-
-      private:
-        struct tstate {
-            tstate(mem::block_pool<T, B>& bp, std::size_t max_hazards)
-                : bag(bp), scan_set(max_hazards) {}
-            mem::blockbag<T, B> bag;
-            mem::ptr_hashset scan_set;
-        };
-
-        void scan(int tid) {
-            // Stall attribution: the full hazard scan is HP's dominant
-            // per-thread pause (O(retired + hazards) with the set build).
-            stall_scope stall(stats_, tid, stall_site::scan_free);
-            if (stats_) stats_->add(tid, stat::hp_scans);
-            tstate& st = *states_[tid];
-            obs::trace_emit(tid, obs::trace_event::scan_free,
-                            static_cast<std::uint64_t>(st.bag.size()));
-            // Slot chains may have grown since construction (guard_span);
-            // re-size the set to the current capacity before collecting.
-            st.scan_set.reserve(global_.max_hazards());
-            st.scan_set.clear();
-            global_.collect_hazards(st.scan_set);
-            auto it1 = st.bag.begin();
-            auto it2 = st.bag.begin();
-            const auto end = st.bag.end();
-            while (it1 != end) {
-                if (st.scan_set.contains(*it1)) {
-                    swap_entries(it1, it2);
-                    ++it2;
-                }
-                ++it1;
-            }
-            // See reclaimer_debra_plus.h: an empty partition leaves it2
-            // inside the first non-empty block; shed all full blocks then.
-            if (it2 == st.bag.begin()) {
-                pool_.accept_chain(tid, st.bag.take_full_blocks());
-            } else {
-                pool_.accept_chain(tid, st.bag.take_blocks_after(it2));
-            }
-        }
-
-        const int num_threads_;
-        global_state& global_;
-        Pool& pool_;
-        debug_stats* stats_;
-        std::vector<std::unique_ptr<tstate>> states_;
-    };
+    using per_type = scan_limbo<T, Pool, B, global_state>;
 };
 
 }  // namespace smr::reclaim

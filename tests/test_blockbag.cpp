@@ -1,5 +1,6 @@
 // Tests for the block-structured bag (src/mem/blockbag.h), including the
-// head-block invariant and the DEBRA+ partition/iteration support.
+// head-block invariant and the partition pass every scanning reclaimer
+// (HP, HE, IBR, DEBRA+) frees through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,23 @@ class BlockbagTest : public ::testing::Test {
         std::vector<rec> v(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i) v[static_cast<std::size_t>(i)].v = i;
         return v;
+    }
+
+    /// Checks every shed block is full and holds only records `v >= min_v`,
+    /// returns the blocks to the pool and the number of records shed.
+    long long release_chain(block_chain<rec, B> chain, long min_v) {
+        long long shed = 0;
+        for (auto* b = chain.head; b != nullptr;) {
+            EXPECT_TRUE(b->full());
+            shed += b->size;
+            for (int i = 0; i < b->size; ++i)
+                EXPECT_GE(b->entries[i]->v, min_v);
+            auto* next = b->next_relaxed();
+            b->size = 0;
+            pool_.release(b);
+            b = next;
+        }
+        return shed;
     }
 };
 
@@ -170,33 +188,17 @@ TEST_F(BlockbagTest, SwapEntriesExchangesRecords) {
 }
 
 TEST_F(BlockbagTest, TakeBlocksAfterPartitionPoint) {
-    // The DEBRA+ rotate: partition "protected" records to the front, then
-    // shed every full block after the boundary.
+    // The scanning reclaimers' pass: partition kept ("protected") records to
+    // the front, then shed every full block after the boundary.
     blockbag<rec, B> bag(pool_);
     auto recs = make_recs(4 * B);
     for (auto& r : recs) bag.add(&r);
-    // Mark the first three records (wherever they sit) as protected by
-    // swapping them to the front, exactly like the rotate scan does.
-    auto it1 = bag.begin();
-    auto it2 = bag.begin();
-    int kept = 0;
-    for (; it1 != bag.end(); ++it1) {
-        if ((*it1)->v < 3) {  // pretend v<3 records are hazard-protected
-            swap_entries(it1, it2);
-            ++it2;
-            ++kept;
-        }
-    }
-    EXPECT_EQ(kept, 3);
     const long long before = bag.size();
-    auto chain = bag.take_blocks_after(it2);
-    // Everything sheds except the blocks up to (and including) it2's block.
-    long long shed = 0;
-    for (auto* b = chain.head; b != nullptr; b = b->next_relaxed()) {
-        EXPECT_TRUE(b->full());
-        shed += b->size;
-        for (int i = 0; i < b->size; ++i) EXPECT_GE(b->entries[i]->v, 3);
-    }
+    // Pretend the v < 3 records are hazard-protected.
+    auto chain = bag.take_unkept_blocks([](rec* r) { return r->v < 3; });
+    // Everything sheds except the blocks up to the partition point.
+    const long long shed = release_chain(chain, 3);
+    EXPECT_GT(shed, 0);
     EXPECT_EQ(bag.size() + shed, before);
     // All protected records are still in the bag.
     int still_protected = 0;
@@ -204,12 +206,36 @@ TEST_F(BlockbagTest, TakeBlocksAfterPartitionPoint) {
         if ((*it)->v < 3) ++still_protected;
     }
     EXPECT_EQ(still_protected, 3);
-    for (auto* b = chain.head; b != nullptr;) {
-        auto* next = b->next_relaxed();
-        b->size = 0;
-        pool_.release(b);
-        b = next;
+}
+
+TEST_F(BlockbagTest, TakeUnkeptBlocksNothingKeptShedsEveryFullBlock) {
+    // Nothing kept must not spare the first full block, also when the head
+    // block is empty and the partition point lands inside that full block:
+    // every full block sheds and only the head block stays.
+    for (const int in_head : {0, 2}) {
+        SCOPED_TRACE(in_head);
+        blockbag<rec, B> bag(pool_);
+        auto recs = make_recs(4 * B + in_head);
+        for (auto& r : recs) bag.add(&r);
+        auto chain = bag.take_unkept_blocks([](rec*) { return false; });
+        EXPECT_EQ(chain.count, 4);
+        EXPECT_EQ(release_chain(chain, 0), 4 * B);
+        EXPECT_EQ(bag.size_in_blocks(), 1);
+        EXPECT_EQ(bag.size(), in_head);
     }
+}
+
+TEST_F(BlockbagTest, TakeUnkeptBlocksEverythingKeptShedsNothing) {
+    blockbag<rec, B> bag(pool_);
+    auto recs = make_recs(3 * B + 1);
+    for (auto& r : recs) bag.add(&r);
+    auto chain = bag.take_unkept_blocks([](rec*) { return true; });
+    EXPECT_TRUE(chain.empty());
+    EXPECT_EQ(bag.size(), 3 * B + 1);
+    EXPECT_EQ(bag.size_in_blocks(), 4);
+    std::set<rec*> seen;
+    for (auto it = bag.begin(); it != bag.end(); ++it) seen.insert(*it);
+    EXPECT_EQ(seen.size(), recs.size());
 }
 
 TEST_F(BlockbagTest, TakeBlocksAfterEndKeepsEverything) {

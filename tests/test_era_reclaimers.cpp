@@ -224,7 +224,9 @@ TEST(ReclaimEra, HeScanFreesUncoveredKeepsCovered) {
         r->v = 1;
         mgr.retire<rec>(0, r);
     }
+    // The shared scan bag files HE's passes under era_scans, not hp_scans.
     EXPECT_GT(mgr.stats().total(stat::era_scans), 0u);
+    EXPECT_EQ(mgr.stats().total(stat::hp_scans), 0u);
     EXPECT_GT(mgr.stats().total(stat::records_pooled), 0u);
     // The covered record survived every scan with its contents intact.
     EXPECT_EQ(pinned->v, 777);
@@ -258,6 +260,7 @@ TEST(ReclaimEra, IbrScanFreesOutsideIntervalKeepsInside) {
         mgr.retire<rec>(0, r);
     }
     EXPECT_GT(mgr.stats().total(stat::era_scans), 0u);
+    EXPECT_EQ(mgr.stats().total(stat::hp_scans), 0u);
     EXPECT_GT(mgr.stats().total(stat::records_pooled), 0u);
     EXPECT_EQ(covered->v, 777);
     EXPECT_LE(mgr.total_limbo_size<rec>(),

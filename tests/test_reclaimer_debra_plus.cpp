@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
@@ -111,6 +112,38 @@ TEST(ReclaimDebraPlus, RProtectedRecordsSurviveRotation) {
     }
     mgr.runprotect_all(0);
     mgr.deinit_thread(0);
+}
+
+TEST(ReclaimDebraPlus, OneRotationCountedPerRotateWhetherScanRunsOrDefers) {
+    // Every rotate_and_reclaim rotates exactly once (one `rotations` count),
+    // then either defers the RProtect scan (bag below scan_threshold_blocks)
+    // or runs it (one scan_free stall per rotation).
+    for (const bool defer : {true, false}) {
+        SCOPED_TRACE(defer ? "scan deferred" : "scan runs");
+        reclaim::debra_plus_config cfg = fast_cfg();
+        if (defer) cfg.scan_threshold_blocks = 1 << 20;
+        mgr_dp mgr(1, cfg);
+        mgr.init_thread(0);
+        std::uint64_t rotated = 0;
+        for (int i = 0; i < 4 * mgr_dp::BLOCK_SIZE; ++i) {
+            rec* r = mgr.new_record<rec>(0);
+            if (mgr.leave_qstate(0)) ++rotated;
+            mgr.retire<rec>(0, r);
+            mgr.enter_qstate(0);
+        }
+        ASSERT_GT(rotated, 0u);
+        const debug_stats& stats = mgr.stats();
+        EXPECT_EQ(stats.total(stat::rotations), rotated);
+        EXPECT_EQ(stats.stall_summary(stall_site::scan_free).count,
+                  defer ? 0u : rotated);
+        // DEBRA+ files its rotation under scan_free, never as a plain
+        // rotation stall.
+        EXPECT_EQ(stats.stall_summary(stall_site::rotation).count, 0u);
+        if (defer) {
+            EXPECT_EQ(stats.total(stat::records_pooled), 0u);
+        }
+        mgr.deinit_thread(0);
+    }
 }
 
 TEST(ReclaimDebraPlus, NeutralizationUnblocksReclamation) {
