@@ -1,20 +1,21 @@
 // reclaimer_he.h -- Hazard Eras (Ramalhete & Correia, SPAA 2017): hazard
 // pointers with eras in the slots instead of addresses.
 //
-// Scheme summary:
-//   * every record carries [birth_era, retire_era] in an era_record header
-//     (stamped by the record manager, invisible to the data structure);
-//   * protect() publishes the *current era* in one of the thread's K
-//     reservation slots, then re-reads the era until it is stable across
-//     the publish -- a bounded loop with no CAS (the scheme's wait-free
-//     protect). A published era e protects every record whose interval
-//     contains e, so consecutive protects in the same era alias the same
-//     slot and cost no store and no fence at all -- the main throughput win
-//     over classic HPs, which pay a full fence per protect;
-//   * retired records collect in per-thread scan_limbo bags; at
-//     2nK + slack records the thread snapshots all nK slots and frees every
-//     record whose interval no published era hits (O(log nK) per record via
-//     a sorted snapshot). Same bounded-limbo guarantee as HPs.
+// Every record carries [birth_era, retire_era] in an era_record header
+// (stamped by the record manager, invisible to the data structure). The
+// slots are HP's announcement row (../announce_row.h) holding eras; what
+// differs from HPs:
+//   * protect() publishes the *current era*, re-reading it until it is
+//     stable across the publish (a bounded loop with no CAS: the scheme's
+//     wait-free protect). A published era e protects every record whose
+//     interval contains e, so consecutive protects in the same era alias
+//     one slot and cost no store and no fence at all -- the main
+//     throughput win over HPs. So HE keeps an entry per protected pointer
+//     (its slot and claim count) and a reference count per slot, which
+//     releases the slot when its last alias goes;
+//   * a scan (same scan_limbo and threshold rule as HPs) sorts every
+//     published era and frees every record whose interval none hits
+//     (O(log nK) per record).
 //
 // Applicability matches HPs: protect() runs the data structure's validation
 // predicate whenever it publishes a new era, and the structures already
@@ -28,13 +29,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "../../mem/block_pool.h"
 #include "../../util/debug_stats.h"
 #include "../../util/padded.h"
+#include "../announce_row.h"
 #include "../limbo_bags.h"
 #include "era_core.h"
 
@@ -55,30 +56,12 @@ namespace detail {
 class he_global {
   public:
     using config = he_config;
-    /// Era reservation slots per thread. Sized like hp_global::K: the skip
-    /// list's locked window dominates with one protection per level endpoint.
-    /// Distinct eras are usually few -- the alias path means a guard_span of
-    /// any size consumes one slot per era it observed, so even a scan
-    /// holding thousands of records protected publishes only as many eras
-    /// as advanced during it (the clock advances once per era_freq retires
-    /// per thread, so the advance rate scales with the churn). Exhausting
-    /// all K slots inside one operation fails the protect like a
-    /// validation rejection (the caller restarts; see protect()).
-    static constexpr int K = 64;
-    /// Initial reservation of the per-thread protection-entry array. The
-    /// array itself grows on demand (std::vector) so bulk spans are not
-    /// bounded by it; only the *distinct-era* budget K is fixed.
-    static constexpr int ENTRY_RESERVE = 2 * K;
+    /// Era slots per row chunk.
+    static constexpr int K = announce_rows<std::uint64_t, ERA_NONE>::K;
 
     he_global(int num_threads, const config& cfg, debug_stats* stats)
         : num_threads_(num_threads), cfg_(cfg), stats_(stats),
-          clock_(cfg.era_freq, stats) {
-        for (int t = 0; t < MAX_THREADS; ++t) {
-            for (auto& s : slots_[t]->v)
-                s.store(ERA_NONE, std::memory_order_relaxed);
-            locals_[t]->entries.reserve(ENTRY_RESERVE);
-        }
-    }
+          clock_(cfg.era_freq, stats), rows_(num_threads) {}
 
     void init_thread(int) noexcept {}
     void deinit_thread(int tid) noexcept { clear_all(tid); }
@@ -87,8 +70,7 @@ class he_global {
     bool leave_qstate(int, RotateFn&&, PressureFn&&) noexcept {
         return false;  // no announcements; reclamation is retire-driven
     }
-    /// End of operation: release every era reservation (as HPs clear all
-    /// announced slots).
+    /// End of operation: release every era reservation.
     void enter_qstate(int tid) noexcept { clear_all(tid); }
     bool is_quiescent(int) const noexcept { return false; }
 
@@ -97,9 +79,8 @@ class he_global {
     /// bulk clears here rather than through enter_qstate.
     void clear_hazards(int tid) noexcept { clear_all(tid); }
 
-    /// Publish-or-alias, then validate on the publish path (see header
-    /// comment). Returns false when validation rejects the record; the
-    /// caller restarts as it would under HPs.
+    /// Publish-or-alias (see header comment). Only the publish path
+    /// validates; a rejection makes the caller restart as under HPs.
     template <class ValidateFn>
     bool protect(int tid, const void* p, ValidateFn&& validate) {
         local& L = *locals_[tid];
@@ -111,55 +92,40 @@ class he_global {
         std::uint64_t era = clock_.current();
         // Alias path: some slot already publishes this era, so every record
         // born up to now is covered. No store, no fence.
-        int slot = L.find_slot(era);
+        int slot = rows_.find(tid, era);
         if (slot < 0) {
             // Publish path: claim a free slot and store the era until it is
             // stable across the publish (bounded by concurrent advances).
-            slot = L.find_slot(ERA_NONE);
-            if (slot < 0) {
-                // Distinct-era budget exhausted: a single span observed
-                // more than K era advances (possible for a very long scan
-                // under churn, since guard_span admissions are unbounded).
-                // Fail like a validation rejection -- the caller restarts,
-                // its released span re-admits under the current era, and
-                // the retry needs slots only for eras that advance *during*
-                // the fresh attempt.
-                if (stats_) stats_->add(tid, stat::hp_validation_failures);
-                return false;
-            }
-            auto& word = slots_[tid]->v[static_cast<std::size_t>(slot)];
+            slot = rows_.claim(tid);
+            std::atomic<std::uint64_t>& word = rows_.word(tid, slot);
             for (;;) {
                 word.store(era, std::memory_order_seq_cst);
-                L.slot_eras[slot] = era;
                 const std::uint64_t now = clock_.current();
                 if (now == era) break;
                 era = now;
             }
             if (!validate()) {
-                word.store(ERA_NONE, std::memory_order_release);
-                L.slot_eras[slot] = ERA_NONE;
+                rows_.release(tid, slot);
                 if (stats_) stats_->add(tid, stat::hp_validation_failures);
                 return false;
             }
+            if (static_cast<std::size_t>(slot) >= L.slot_refs.size())
+                L.slot_refs.resize(static_cast<std::size_t>(slot) + 1);
         }
         L.entries.push_back({p, slot, 1});
-        ++L.slot_refs[slot];
+        ++L.slot_refs[static_cast<std::size_t>(slot)];
         return true;
     }
 
     void unprotect(int tid, const void* p) noexcept {
         local& L = *locals_[tid];
         entry* e = L.find(p);
-        if (e == nullptr) return;
-        if (--e->claims > 0) return;
+        if (e == nullptr || --e->claims > 0) return;
         const int slot = e->slot;
         *e = L.entries.back();
         L.entries.pop_back();
-        if (--L.slot_refs[slot] == 0) {
-            slots_[tid]->v[static_cast<std::size_t>(slot)].store(
-                ERA_NONE, std::memory_order_release);
-            L.slot_eras[slot] = ERA_NONE;
-        }
+        if (--L.slot_refs[static_cast<std::size_t>(slot)] == 0)
+            rows_.release(tid, slot);
     }
 
     bool is_protected(int tid, const void* p) const noexcept {
@@ -168,6 +134,10 @@ class he_global {
     /// Distinct records `tid` currently holds protected (tests).
     std::size_t live_entries(int tid) const noexcept {
         return locals_[tid]->entries.size();
+    }
+    /// Slot capacity across all threads, grown with the rows (tests).
+    std::size_t max_hazards() const noexcept {
+        return static_cast<std::size_t>(rows_.capacity());
     }
 
     // HE provides no crash-recovery interface (as HPs: RProtect et al. are
@@ -197,12 +167,7 @@ class he_global {
       public:
         void collect(const he_global& g) {
             eras_.clear();
-            for (int t = 0; t < g.num_threads_; ++t) {
-                for (const auto& s : g.slots_[t]->v) {
-                    const std::uint64_t e = s.load(std::memory_order_seq_cst);
-                    if (e != ERA_NONE) eras_.push_back(e);
-                }
-            }
+            g.rows_.for_each([&](std::uint64_t e) { eras_.push_back(e); });
             std::sort(eras_.begin(), eras_.end());
         }
         template <class Rec>
@@ -219,8 +184,9 @@ class he_global {
     /// The counter each scan of this scheme bumps.
     static constexpr stat scan_stat = stat::era_scans;
 
+    /// Same rule as HPs: twice the *current* slot capacity plus slack.
     long long scan_threshold_records() const noexcept {
-        return 2LL * num_threads_ * K + cfg_.scan_slack_records;
+        return 2 * rows_.capacity() + cfg_.scan_slack_records;
     }
     const era_clock& clock() const noexcept { return clock_; }
     int num_threads() const noexcept { return num_threads_; }
@@ -233,8 +199,7 @@ class he_global {
     };
     struct local {
         std::vector<entry> entries;  // grows on demand (guard_span bulk use)
-        std::array<std::uint64_t, K> slot_eras{};  // owner's view of slots_
-        std::array<int, K> slot_refs{};            // entries per slot
+        std::vector<int> slot_refs;  // entries per slot, grown with the row
 
         /// Searches from the newest entry: callers release what they
         /// protected recently (a hand-over-hand descent holds two entries,
@@ -246,38 +211,23 @@ class he_global {
             return nullptr;
         }
         const entry* find(const void* p) const noexcept {
-            for (auto it = entries.rbegin(); it != entries.rend(); ++it)
-                if (it->p == p) return &*it;
-            return nullptr;
+            return const_cast<local*>(this)->find(p);
         }
-        int find_slot(std::uint64_t era) const noexcept {
-            for (int i = 0; i < K; ++i)
-                if (slot_eras[i] == era) return i;
-            return -1;
-        }
-    };
-    struct slot_row {
-        std::array<std::atomic<std::uint64_t>, K> v;
     };
 
     void clear_all(int tid) noexcept {
         local& L = *locals_[tid];
-        for (int i = 0; i < K; ++i) {
-            if (L.slot_eras[i] != ERA_NONE) {
-                slots_[tid]->v[static_cast<std::size_t>(i)].store(
-                    ERA_NONE, std::memory_order_release);
-                L.slot_eras[i] = ERA_NONE;
-            }
-            L.slot_refs[i] = 0;
-        }
+        for (const entry& e : L.entries)
+            L.slot_refs[static_cast<std::size_t>(e.slot)] = 0;
         L.entries.clear();
+        rows_.clear_all(tid);
     }
 
     const int num_threads_;
     const config cfg_;
     debug_stats* stats_;
     era_clock clock_;
-    std::array<padded<slot_row>, MAX_THREADS> slots_{};
+    announce_rows<std::uint64_t, ERA_NONE> rows_;
     std::array<padded<local>, MAX_THREADS> locals_;
 };
 

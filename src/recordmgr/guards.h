@@ -161,11 +161,11 @@ class guard_ptr<Mgr, T, false> {
 ///
 /// Per-scheme lowering:
 ///   * HP  -- every protect() claims one hazard slot; the per-thread slot
-///     array grows on demand (chained chunks, see reclaimer_hp.h), so a
-///     span is not limited to the base slot budget;
-///   * HE  -- protects alias era slots, so a span of any size usually
-///     publishes only a handful of eras: the span is a widened era set
-///     covering every record it admitted;
+///     row grows on demand (chained chunks, see reclaim/announce_row.h),
+///     so a span is not limited to the base slot budget;
+///   * HE  -- protects alias era slots in the same kind of row, so a span
+///     of any size usually publishes only a handful of eras: the span is a
+///     widened era set covering every record it admitted;
 ///   * IBR -- the thread's reservation interval is the protection; each
 ///     protect() merely widens the interval to the current era, and
 ///     release is free;

@@ -194,6 +194,28 @@ TEST(ReclaimEra, HeHandOverHandKeepsTwoEntries) {
     mgr.deinit_thread(0);
 }
 
+TEST(ReclaimEra, HeProtectsAcrossMoreThanKErasGrowTheRow) {
+    // One operation protects a record, then retires one (era_freq = 1, so
+    // the era advances), K + 8 times: every protect publishes an era of its
+    // own. The row grows a chunk, as an HP span does, and no protect fails.
+    mgr_he mgr(1, tight_config<mgr_he>());
+    mgr.init_thread(0);
+    constexpr int K = reclaim::detail::he_global::K;
+    const long long threshold = mgr.global().scan_threshold_records();
+    std::vector<rec> recs(K + 8);
+    for (rec& r : recs) {
+        EXPECT_TRUE(mgr.protect(0, &r));
+        mgr.retire<rec>(0, mgr.new_record<rec>(0));
+    }
+    for (rec& r : recs) EXPECT_TRUE(mgr.is_protected(0, &r));
+    EXPECT_EQ(mgr.stats().total(stat::hp_validation_failures), 0u);
+    // One more chunk of K slots, and the scan threshold follows it.
+    EXPECT_EQ(mgr.global().scan_threshold_records(), threshold + 2 * K);
+    mgr.enter_qstate(0);
+    for (rec& r : recs) EXPECT_FALSE(mgr.is_protected(0, &r));
+    mgr.deinit_thread(0);
+}
+
 TEST(ReclaimEra, HeEnterQstateClearsAllReservations) {
     mgr_he mgr(1);
     mgr.init_thread(0);
@@ -351,6 +373,84 @@ TEST(ReclaimEra, HeCrossThreadReservationHonored) {
         mgr.retire<rec>(0, r);
     }
     EXPECT_GE(mgr.stats().total(stat::era_scans), 2u);
+    EXPECT_EQ(target->v, 42);  // see HeReservationInSecondChunkHonored
+    release.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_TRUE(content_ok.load());
+    mgr.deinit_thread(0);
+}
+
+TEST(ReclaimEra, HeReservationInSecondChunkHonored) {
+    // As HeCrossThreadReservationHonored, but the reader's reservation for
+    // the target sits in the second chunk of its row: K earlier protects,
+    // each under an era of its own, fill the first chunk, and they all
+    // predate the target's birth. The scanner must walk the chain to keep
+    // the target, and still free the records no era covers.
+    mgr_he mgr(2, tight_config<mgr_he>());
+    constexpr int K = reclaim::detail::he_global::K;
+    std::vector<rec> filler(K);
+    std::atomic<bool> first_chunk_full{false};
+    std::atomic<rec*> handoff{nullptr};
+    std::atomic<bool> protected_flag{false};
+    std::atomic<bool> release{false};
+    std::atomic<bool> content_ok{true};
+
+    std::thread reader([&] {
+        mgr.init_thread(1);
+        for (rec& f : filler) {
+            mgr.protect(1, &f);
+            mgr.retire<rec>(1, mgr.new_record<rec>(1));  // next era
+        }
+        first_chunk_full.store(true, std::memory_order_release);
+        rec* r;
+        while ((r = handoff.load(std::memory_order_acquire)) == nullptr) {
+            std::this_thread::yield();
+        }
+        mgr.protect(1, r);
+        protected_flag.store(true, std::memory_order_release);
+        while (!release.load(std::memory_order_acquire)) {
+            if (r->v != 42) {
+                content_ok.store(false);
+                break;
+            }
+            std::this_thread::yield();
+        }
+        mgr.enter_qstate(1);
+        mgr.deinit_thread(1);
+    });
+
+    mgr.init_thread(0);
+    while (!first_chunk_full.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+    }
+    rec* target = mgr.new_record<rec>(0);
+    target->v = 42;
+    handoff.store(target, std::memory_order_release);
+    while (!protected_flag.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+    }
+    // Two rows of K plus the reader's second chunk.
+    EXPECT_EQ(mgr.global().max_hazards(), 3u * K);
+    mgr.retire<rec>(0, target);
+    const long long threshold = mgr.global().scan_threshold_records();
+    for (long long i = 0; i < 3 * threshold; ++i) {
+        rec* r = mgr.new_record<rec>(0);
+        r->v = 0;
+        mgr.retire<rec>(0, r);
+    }
+    EXPECT_GE(mgr.stats().total(stat::era_scans), 2u);
+    EXPECT_GT(mgr.stats().total(stat::records_pooled), 0u);
+    // Checked on this thread too: a reuse of target would have been
+    // stamped and zeroed by the churn above, in this thread's program
+    // order, while the reader's unsynchronised reads may see a stale 42.
+    EXPECT_EQ(target->v, 42);
+    // Drain the pool while the reservation holds; target is never handed
+    // out.
+    for (int i = 0; i < 3 * mgr_he::BLOCK_SIZE; ++i) {
+        rec* r = mgr.allocate<rec>(0);
+        EXPECT_NE(r, target);
+        mgr.deallocate<rec>(0, r);
+    }
     release.store(true, std::memory_order_release);
     reader.join();
     EXPECT_TRUE(content_ok.load());

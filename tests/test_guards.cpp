@@ -235,10 +235,10 @@ TYPED_TEST(GuardTyped, SpanReleasesEverythingOnScopeExit) {
 }
 
 TYPED_TEST(GuardTyped, SpanGrowsPastEveryFixedBudget) {
-    // 200 distinct records exceed the span's inline record buffer (16),
-    // HP's base slot chunk (64 -> the chain grows), and HE's initial
-    // entry reservation (128 -> the vector grows). Everything must stay
-    // protected until reset, then release completely.
+    // 200 distinct records exceed the span's inline record buffer (16)
+    // and HP's base slot chunk (64 -> the row grows); HE's entry vector
+    // grows with them. Everything must stay protected until reset, then
+    // release completely.
     typename TestFixture::mgr_t mgr(2);
     auto handle = mgr.register_thread();
     auto acc = mgr.access(handle);

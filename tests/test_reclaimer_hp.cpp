@@ -1,12 +1,10 @@
 // Tests for the hazard-pointer reclaimer (src/reclaim/reclaimer_hp.h):
 // announce/validate semantics, scan-and-free with protection, slot
-// lifecycle, the slot cursor's invariants, and the amortized scan
-// threshold.
+// lifecycle, and the amortized scan threshold. The slot cursor's
+// invariants are tested for HP and HE together in test_announce_row.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <deque>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -207,101 +205,6 @@ TEST(ReclaimHp, LeaveQstateIsFree) {
     mgr.init_thread(0);
     EXPECT_FALSE(mgr.leave_qstate(0));
     EXPECT_FALSE(mgr.is_quiescent(0));
-    mgr.deinit_thread(0);
-}
-
-TEST(ReclaimHp, ManySlotsUsableSimultaneously) {
-    mgr_hp mgr(1);
-    mgr.init_thread(0);
-    constexpr int N = reclaim::detail::hp_global::K;
-    std::vector<rec*> recs;
-    for (int i = 0; i < N; ++i) {
-        rec* r = mgr.new_record<rec>(0);
-        recs.push_back(r);
-        EXPECT_TRUE(mgr.protect(0, r));
-    }
-    for (rec* r : recs) EXPECT_TRUE(mgr.is_protected(0, r));
-    mgr.enter_qstate(0);
-    for (rec* r : recs) mgr.deallocate<rec>(0, r);
-    mgr.deinit_thread(0);
-}
-
-// ---- slot cursor invariants ------------------------------------------------
-
-TEST(ReclaimHp, HandOverHandNeverGrowsTheChain) {
-    // The search shape: hold a window of three (gp, p, l), admit the next
-    // record, drop the oldest -- releases are FIFO, not LIFO. Ten thousand
-    // steps must keep reusing the base chunk.
-    mgr_hp mgr(1);
-    mgr.init_thread(0);
-    const std::size_t base = mgr.global().max_hazards();
-    std::vector<rec> recs(16);
-    std::deque<rec*> held;
-    for (int step = 0; step < 10000; ++step) {
-        rec* r = &recs[static_cast<std::size_t>(step) % recs.size()];
-        ASSERT_TRUE(mgr.protect(0, r));
-        held.push_back(r);
-        if (held.size() > 3) {
-            mgr.unprotect(0, held.front());
-            EXPECT_FALSE(mgr.is_protected(0, held.front()));
-            held.pop_front();
-        }
-    }
-    EXPECT_EQ(mgr.global().max_hazards(), base);
-    mem::ptr_hashset seen(base);
-    mgr.global().collect_hazards(seen);
-    for (rec* r : held) EXPECT_TRUE(seen.contains(r));
-    mgr.enter_qstate(0);
-    for (rec& r : recs) EXPECT_FALSE(mgr.is_protected(0, &r));
-    mgr.deinit_thread(0);
-}
-
-TEST(ReclaimHp, MoreThanKProtectionsAppendAChunk) {
-    mgr_hp mgr(1);
-    mgr.init_thread(0);
-    constexpr int K = reclaim::detail::hp_global::K;
-    const std::size_t base = mgr.global().max_hazards();
-    std::vector<rec> recs(K + 1);
-    for (rec& r : recs) ASSERT_TRUE(mgr.protect(0, &r));
-    EXPECT_EQ(mgr.global().max_hazards(), base + K);
-    mem::ptr_hashset seen(mgr.global().max_hazards());
-    mgr.global().collect_hazards(seen);
-    for (rec& r : recs) EXPECT_TRUE(seen.contains(&r));
-    // Oldest first: every release still finds its slot.
-    for (rec& r : recs) mgr.unprotect(0, &r);
-    for (rec& r : recs) EXPECT_FALSE(mgr.is_protected(0, &r));
-    // The grown chain is reused, never extended again for the same load.
-    for (rec& r : recs) ASSERT_TRUE(mgr.protect(0, &r));
-    EXPECT_EQ(mgr.global().max_hazards(), base + K);
-    mgr.enter_qstate(0);
-    for (rec& r : recs) EXPECT_FALSE(mgr.is_protected(0, &r));
-    mgr.deinit_thread(0);
-}
-
-TEST(ReclaimHp, FailedValidationFreesSlotAndCursor) {
-    // Fill all but the last slot of the base chunk, then fail a validation
-    // in that last slot. The slot and the cursor must both come back: the
-    // next protect lands there instead of appending a chunk.
-    mgr_hp mgr(1);
-    mgr.init_thread(0);
-    constexpr int K = reclaim::detail::hp_global::K;
-    const std::size_t base = mgr.global().max_hazards();
-    std::vector<rec> recs(K + 1);
-    for (int i = 0; i < K - 1; ++i) {
-        ASSERT_TRUE(mgr.protect(0, &recs[static_cast<std::size_t>(i)]));
-    }
-    rec* rejected = &recs[K - 1];
-    EXPECT_FALSE(mgr.protect(0, rejected, [] { return false; }));
-    EXPECT_FALSE(mgr.is_protected(0, rejected));
-    ASSERT_TRUE(mgr.protect(0, &recs[K]));
-    EXPECT_EQ(mgr.global().max_hazards(), base);
-    // Now K are live: one more needs a second chunk.
-    ASSERT_TRUE(mgr.protect(0, rejected));
-    EXPECT_EQ(mgr.global().max_hazards(), base + K);
-    mem::ptr_hashset seen(mgr.global().max_hazards());
-    mgr.global().collect_hazards(seen);
-    for (rec& r : recs) EXPECT_TRUE(seen.contains(&r));
-    mgr.enter_qstate(0);
     mgr.deinit_thread(0);
 }
 
